@@ -79,24 +79,26 @@ class AbsorptionReport:
     expected_absorption_time: float
 
 
+def _closed_values(p: ModelParams) -> _forms.ClosedValues:
+    validate_params(p)
+    return _forms.closed_values(p.lam, p.mu, p.effective_level)
+
+
 def phase_probabilities(p: ModelParams) -> PhaseMatrix:
     """Outcome probabilities of the four phase types."""
-    validate_params(p)
-    cv = _forms.closed_values(p.lam, p.mu, p.effective_level)
+    cv = _closed_values(p)
     return PhaseMatrix(cv.p00, cv.p0h, cv.ph0, cv.phh)
 
 
 def expected_truncated_times(p: ModelParams) -> TruncatedTimeMeans:
     """Restricted means of the dual stopping times, one per phase type."""
-    validate_params(p)
-    cv = _forms.closed_values(p.lam, p.mu, p.effective_level)
+    cv = _closed_values(p)
     return TruncatedTimeMeans(cv.t00, cv.t0h, cv.thh, cv.th0)
 
 
 def expected_cycles(p: ModelParams) -> CycleMeans:
     """Unconditional and conditional mean phase durations."""
-    validate_params(p)
-    cv = _forms.closed_values(p.lam, p.mu, p.effective_level)
+    cv = _closed_values(p)
     return CycleMeans(
         cv.m00, cv.m0h, cv.mh0, cv.mhh,
         cv.k00, cv.k0h, cv.kh0, cv.khh,
@@ -156,10 +158,10 @@ def expected_length_L(p: ModelParams, n: int) -> float:
     """
     if n < 1:
         raise InvalidIndex(f"expected_length_L needs n >= 1, got {n}")
-    pm = phase_probabilities(p)
-    cm = expected_cycles(p)
-    l1 = cm.m00 + cm.m0h
-    l1s = cm.mh0 + cm.mhh
+    cv = _closed_values(p)
+    pm = PhaseMatrix(cv.p00, cv.p0h, cv.ph0, cv.phh)
+    l1 = cv.m00 + cv.m0h
+    l1s = cv.mh0 + cv.mhh
     if n == 1:
         return l1
     return (l1
@@ -175,17 +177,15 @@ def expected_absorption_time(p: ModelParams, s: SwitchingProb) -> AbsorptionRepo
     phase chain collapses the series to two terms.  alpha = 1 returns
     exactly the single-phase mean l1.
     """
-    validate_params(p)
-    pm = phase_probabilities(p)
-    cm = expected_cycles(p)
-    l1 = cm.m00 + cm.m0h
-    l1s = cm.mh0 + cm.mhh
-    vart = pm.p00 + pm.phh - 1.0
+    cv = _closed_values(p)
+    l1 = cv.m00 + cv.m0h
+    l1s = cv.mh0 + cv.mhh
+    vart = cv.p00 + cv.phh - 1.0
     alpha = s.alpha
     if alpha == 1.0:
         eta = l1
     else:
-        ssum = pm.p0h + pm.ph0
-        eta = ((l1 * pm.ph0 + l1s * pm.p0h) / (alpha * ssum)
-               + pm.p0h * (l1 - l1s) / (ssum * (1.0 - (1.0 - alpha) * vart)))
+        ssum = cv.p0h + cv.ph0
+        eta = ((l1 * cv.ph0 + l1s * cv.p0h) / (alpha * ssum)
+               + cv.p0h * (l1 - l1s) / (ssum * (1.0 - (1.0 - alpha) * vart)))
     return AbsorptionReport(l1, l1s, vart, eta)

@@ -14,26 +14,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import analytics, mgf, montecarlo, scaling
 from .core import ModelParams, SwitchingProb, validate_params
 from .errors import TelegraphBoxError
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    params: ModelParams | None
-    alpha: SwitchingProb | None
-    n_paths: int
-    seed: int
-    fmt: str
-    output_path: str | None
-
-
-def _sig(x: float) -> float:
-    return float(f"{x:.12g}")
+from .montecarlo import _sig
 
 
 def _threads_default() -> int:

@@ -2,9 +2,10 @@
 
 No time grid: every boundary hit time is computed algebraically from the
 exponential sojourn draws, so path identities hold to rounding error.
-Scalar entry points return full records with the raw draws attached; the
-underscore-prefixed array engines trade records for throughput and feed
-the estimation layer.
+Scalar entry points return full records with the raw draws attached.
+One underscore-prefixed array kernel runs a phase on many lanes at once;
+the phase and absorption engines built on it trade records for
+throughput and feed the estimation layer.
 """
 
 from __future__ import annotations
@@ -213,7 +214,70 @@ def path_dump_csv(paths: Iterable[PathRecord], out: IO[str]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# array engines
+# array engine
+
+
+def _run_lanes(from_origin: np.ndarray, p: ModelParams, rng: RandomSource):
+    """Run one phase per lane, vectorized; lane i starts at the origin if
+    from_origin[i], else at the level.
+
+    Returns arrays (end_is_level, duration, n_switches, t_stop, y_stop) as
+    _run_phases does.  All lanes start together and reverse every round,
+    so each lane's draws alternate direction with the round parity: they
+    are summed per parity and read as up or down totals when the lane
+    stops.  Live lanes are compacted densely after every round that stops
+    some of them.
+    """
+    h, lam, mu = p.effective_level, p.lam, p.mu
+    n = from_origin.size
+    end_level = np.empty(n, dtype=bool)
+    duration = np.empty(n)
+    n_switches = np.empty(n, dtype=np.int64)
+    t_stop = np.empty(n)
+    y_stop = np.empty(n)
+    lane = np.arange(n)
+    up = from_origin.copy()
+    pos = np.where(up, 0.0, h)
+    dur = np.zeros(n)
+    this = np.zeros(n)      # draws of this round's parity
+    other = np.zeros(n)     # draws of the other parity
+    rounds = 0
+    while lane.size:
+        if rounds == _REVERSAL_CAP:
+            raise ReversalCapExceeded(_REVERSAL_CAP)
+        draw = rng.gen.standard_exponential(lane.size, method="inv") / np.where(up, lam, mu)
+        this += draw
+        gap = np.where(up, h - pos, pos)
+        hit = draw >= gap
+        if hit.any():
+            at = np.flatnonzero(hit)
+            fin = lane.take(at)
+            end_up = up.take(at)
+            end_level[fin] = end_up
+            duration[fin] = dur.take(at) + gap.take(at)
+            n_switches[fin] = rounds
+            # the other parity holds the down total on an upward hit and
+            # the up total on a downward one; the dual clock of an
+            # origin-to-level crossing still owes the level offset
+            base = other.take(at)
+            t_stop[fin] = base + np.where(end_up & from_origin.take(fin), h, 0.0)
+            y_stop[fin] = np.where(end_up, base, this.take(at))
+            # one array at a time, so the old and new copies of the lane
+            # state never all coexist
+            keep = np.flatnonzero(~hit)
+            lane = lane.take(keep)
+            up = up.take(keep)
+            pos = pos.take(keep)
+            dur = dur.take(keep)
+            this = this.take(keep)
+            other = other.take(keep)
+            draw = draw.take(keep)
+        dur += draw
+        pos += np.where(up, draw, -draw)
+        up = ~up
+        this, other = other, this
+        rounds += 1
+    return end_level, duration, n_switches, t_stop, y_stop
 
 
 def _run_phases(start: Boundary, p: ModelParams, rng: RandomSource, n: int):
@@ -225,102 +289,35 @@ def _run_phases(start: Boundary, p: ModelParams, rng: RandomSource, n: int):
     from independent accumulations and identity checks stay meaningful.
     """
     validate_params(p)
-    h = p.effective_level
-    lam, mu = p.lam, p.mu
-    pos = np.zeros(n) if start is Boundary.ORIGIN else np.full(n, h)
-    cu = np.zeros(n)
-    cd = np.zeros(n)
-    dur = np.zeros(n)
-    ndraw = np.zeros(n, dtype=np.int64)
-    end_level = np.zeros(n, dtype=bool)
-    t_stop = np.zeros(n)
-    y_stop = np.zeros(n)
-    active = np.arange(n)
-    going_up = start is Boundary.ORIGIN
-    rounds = 0
-    while active.size:
-        rounds += 1
-        if rounds > _REVERSAL_CAP:
-            raise ReversalCapExceeded(_REVERSAL_CAP)
-        if going_up:
-            draw = exp_draw(lam, rng, active.size)
-            cu[active] += draw
-            gap = h - pos[active]
-            hit = draw >= gap
-            fin = active[hit]
-            dur[fin] += gap[hit]
-            end_level[fin] = True
-            # dual clock at the stop: origin starts still owe the level
-            # offset, level starts have simply returned
-            t_stop[fin] = cd[fin] + (h if start is Boundary.ORIGIN else 0.0)
-            y_stop[fin] = cd[fin]
-        else:
-            draw = exp_draw(mu, rng, active.size)
-            cd[active] += draw
-            gap = pos[active]
-            hit = draw >= gap
-            fin = active[hit]
-            dur[fin] += gap[hit]
-            t_stop[fin] = cu[fin]
-            y_stop[fin] = cd[fin]
-        ndraw[active] += 1
-        keep = active[~hit]
-        step = draw[~hit]
-        pos[keep] += step if going_up else -step
-        dur[keep] += step
-        active = keep
-        going_up = not going_up
-    return end_level, dur, ndraw - 1, t_stop, y_stop
+    return _run_lanes(np.full(n, start is Boundary.ORIGIN), p, rng)
 
 
 def _run_absorption(p: ModelParams, s: SwitchingProb, rng: RandomSource, n: int,
                     max_phases: int = 10 ** 6):
     """Simulate n absorption paths from the origin, vectorized.
 
-    Returns (m, total_time, absorbed_at_level).  Paths advance one phase
-    per outer round; within a round directions differ per path, so each
-    inner draw lane is scaled by the per-path rate.
+    Returns (m, total_time, absorbed_at_level).  Live paths advance one
+    phase per outer round, each from the boundary its last phase hit; a
+    Bernoulli(alpha) coin per path after every phase retires the absorbed.
     """
     validate_params(p)
-    h = p.effective_level
-    lam, mu = p.lam, p.mu
-    at_level = np.zeros(n, dtype=bool)
-    total = np.zeros(n)
-    m = np.zeros(n, dtype=np.int64)
-    absorbed_level = np.zeros(n, dtype=bool)
-    alive = np.arange(n)
-    for _ in range(max_phases):
-        k = alive.size
-        going_up = ~at_level[alive]
-        pos = np.where(going_up, 0.0, h)
-        end_level = np.zeros(k, dtype=bool)
-        dur = np.zeros(k)
-        run = np.arange(k)
-        rounds = 0
-        while run.size:
-            rounds += 1
-            if rounds > _REVERSAL_CAP:
-                raise ReversalCapExceeded(_REVERSAL_CAP)
-            up = going_up[run]
-            rate = np.where(up, lam, mu)
-            draw = rng.gen.standard_exponential(run.size, method="inv") / rate
-            gap = np.where(up, h - pos[run], pos[run])
-            hit = draw >= gap
-            fin = run[hit]
-            dur[fin] += gap[hit]
-            end_level[fin] = up[hit]
-            keep = run[~hit]
-            pos[keep] += np.where(up[~hit], draw[~hit], -draw[~hit])
-            dur[keep] += draw[~hit]
-            going_up[keep] = ~going_up[keep]
-            run = keep
-        total[alive] += dur
-        m[alive] += 1
-        at_level[alive] = end_level
-        coin = rng.gen.random(k) < s.alpha
-        done = alive[coin]
-        absorbed_level[done] = end_level[coin]
-        alive = alive[~coin]
-        if alive.size == 0:
+    m = np.empty(n, dtype=np.int64)
+    total = np.empty(n)
+    absorbed_level = np.empty(n, dtype=bool)
+    lane = np.arange(n)
+    from_origin = np.ones(n, dtype=bool)
+    elapsed = np.zeros(n)
+    for phase in range(1, max_phases + 1):
+        end_level, dur = _run_lanes(from_origin, p, rng)[:2]
+        elapsed += dur
+        coin = rng.gen.random(lane.size) < s.alpha
+        done = np.flatnonzero(coin)
+        fin = lane.take(done)
+        m[fin] = phase
+        total[fin] = elapsed.take(done)
+        absorbed_level[fin] = end_level.take(done)
+        stay = np.flatnonzero(~coin)
+        if not stay.size:
             return m, total, absorbed_level
+        lane, elapsed, from_origin = lane.take(stay), elapsed.take(stay), ~end_level.take(stay)
     raise MaxPhasesExceeded(max_phases)
