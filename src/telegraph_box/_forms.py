@@ -83,18 +83,22 @@ def _closed_values_asym(lam: float, mu: float, h: float) -> ClosedValues:
         E2 = E * E
         G = 1 / E                        # e^{(lam-mu)H}
 
-        p0h = (m_ - lm) / (m_ - lm * G)
-        ph0 = (lm - m_) / (lm - m_ * E)
-        p00 = 1 - p0h
-        phh = 1 - ph0
+        a = m_ - lm * G                  # origin-row denominator
+        b = lm - m_ * E                  # level-row denominator
+        p0h = (m_ - lm) / a
+        ph0 = (lm - m_) / b
+        # not 1 - p0h and 1 - ph0: at a rate near 1e-300 those round to
+        # exactly 0 and the kappa ratios below divide by it
+        p00 = lm * (1 - G) / a
+        phh = m_ * (1 - E) / b
 
-        den = (lm - m_) * (lm - m_ * E) ** 2
+        den = (lm - m_) * b ** 2
         t0h = E * (2 * lm * m_ * (E - 1)
                    + H * (lm - m_) * (lm ** 2 + m_ ** 2 * E)) / den
         t00 = lm * (lm - m_ * E2
                     - E * (lm - m_) * (1 + H * (lm + m_))) / den
         thh = (m_ / lm) * t00
-        th0 = lm * m_ * (2 + H * d + E * (H * d - 2)) / ((m_ - lm) * (lm - m_ * E) ** 2)
+        th0 = lm * m_ * (2 + H * d + E * (H * d - 2)) / ((m_ - lm) * b ** 2)
 
         m00 = 2 * t00
         mhh = 2 * thh
@@ -102,7 +106,7 @@ def _closed_values_asym(lam: float, mu: float, h: float) -> ClosedValues:
                    + H * (lm ** 2 - m_ ** 2) * (lm + m_ * E)) / den
         mh0 = (m_ * G * (lm * (4 + lm * H) - m_ ** 2 * H)
                + lm * G * G * (-4 * m_ + H * (lm ** 2 - m_ ** 2))) \
-            / ((lm - m_) * (m_ - lm * G) ** 2)
+            / ((lm - m_) * a ** 2)
 
         vals = [p00, p0h, ph0, phh, t00, t0h, thh, th0, m00, m0h, mh0, mhh,
                 m00 / p00, m0h / p0h, mh0 / ph0, mhh / phh]

@@ -54,14 +54,15 @@ def theta_roots(omega: float, p: ModelParams) -> RootPair:
     """Solve the exponent quadratic for a given frequency.
 
     Stable form: the larger-magnitude root avoids cancellation, the other
-    follows from the product mu*omega.  Raises DomainError when omega
-    exceeds omega_bound (complex roots).
+    follows from the product mu*omega.  Raises DomainError when omega is
+    not finite or exceeds omega_bound (complex roots).
     """
     validate_params(p)
     lam, mu = p.lam, p.mu
-    if omega > omega_bound(p):
+    if not (math.isfinite(omega) and omega <= omega_bound(p)):
         raise DomainError(
-            f"omega={omega} above the admissible bound {omega_bound(p)}"
+            f"omega={omega} must be finite and at most the admissible "
+            f"bound {omega_bound(p)}"
         )
     b = lam - mu - omega
     c = mu * omega

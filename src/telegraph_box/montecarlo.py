@@ -10,13 +10,14 @@ bit into the full-range estimate.
 
 from __future__ import annotations
 
-import json
+import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import analytics
+from ._report import render
 from .core import Boundary, ModelParams, RandomSource, SwitchingProb, validate_params
 from .errors import DomainError
 from .simulate import _run_absorption, _run_phases
@@ -180,8 +181,11 @@ def validate(p: ModelParams, s: SwitchingProb, n_paths: int, seed: int,
     """Compare every estimable quantity against its closed form.
 
     One record per quantity; overall_pass is true iff every |z| <= z_max.
-    A zero standard error yields z = 0 only on exact agreement.
+    A zero standard error yields z = 0 only on exact agreement.  Raises
+    DomainError unless z_max is finite and positive.
     """
+    if not (math.isfinite(z_max) and z_max > 0.0):
+        raise DomainError(f"z_max must be finite and > 0, got {z_max!r}")
     mom = _gather(p, s, n_paths, seed, threads)
     analytic = _analytic_values(p, s)
     records = []
@@ -197,40 +201,19 @@ def validate(p: ModelParams, s: SwitchingProb, n_paths: int, seed: int,
     return ValidationReport(tuple(records), ok, n_paths, seed, z_max)
 
 
-def _sig(x: float) -> float:
-    # 12 significant digits, enough to express every test tolerance
-    return float(f"{x:.12g}")
+def _report_doc(rep: ValidationReport) -> dict:
+    return {"n_paths": rep.n_paths, "seed": rep.seed, "z_max": rep.z_max,
+            "overall_pass": rep.overall_pass,
+            "records": [asdict(r) for r in rep.records]}
 
 
 def validation_report_json(rep: ValidationReport) -> str:
     """Stable JSON rendering; parsing and re-emitting is byte-identical."""
-    doc = {
-        "n_paths": rep.n_paths,
-        "seed": rep.seed,
-        "z_max": _sig(rep.z_max),
-        "overall_pass": rep.overall_pass,
-        "records": [
-            {
-                "name": r.name,
-                "analytic": _sig(r.analytic),
-                "estimate": _sig(r.estimate),
-                "standard_error": _sig(r.standard_error),
-                "z_score": _sig(r.z_score),
-            }
-            for r in rep.records
-        ],
-    }
-    return json.dumps(doc, indent=2)
+    return render(_report_doc(rep), "json").rstrip("\n")
 
 
 def validation_report_table(rep: ValidationReport) -> str:
-    head = (f"{'quantity':<16}  {'analytic':>18}  {'estimate':>18}"
-            f"  {'std error':>12}  {'z':>8}")
-    lines = [head, "-" * len(head)]
-    for r in rep.records:
-        lines.append(
-            f"{r.name:<16}  {r.analytic:>18.12g}  {r.estimate:>18.12g}"
-            f"  {r.standard_error:>12.6g}  {r.z_score:>8.3f}")
-    lines.append(f"overall: {'PASS' if rep.overall_pass else 'FAIL'} "
-                 f"(n={rep.n_paths}, seed={rep.seed}, z_max={rep.z_max:g})")
-    return "\n".join(lines)
+    """Aligned table of the records, closed by an overall PASS/FAIL line."""
+    return (render(_report_doc(rep), "table")
+            + f"overall: {'PASS' if rep.overall_pass else 'FAIL'} "
+              f"(n={rep.n_paths}, seed={rep.seed}, z_max={rep.z_max:.12g})")

@@ -9,8 +9,9 @@ scaled parameter sets and tabulates the decay along a velocity grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
+from ._report import render
 from .core import ModelParams, SwitchingProb
 from .errors import DomainError, NonPositiveParameter
 from . import analytics
@@ -91,10 +92,14 @@ def scaling_sweep(spec: ScalingSpec, h: float, s: SwitchingProb) -> tuple[SweepR
     return tuple(rows)
 
 
+# output names of the SweepRow fields, in field order
+_COLUMNS = ("c", "lambda", "mu", "EC00", "EC0H", "Etau", "ETA")
+
+
+def _sweep_doc(rows: tuple[SweepRow, ...]) -> list[dict]:
+    return [dict(zip(_COLUMNS, astuple(r))) for r in rows]
+
+
 def sweep_csv(rows: tuple[SweepRow, ...]) -> str:
     """Render a sweep as CSV with a fixed documented header."""
-    out = ["c,lambda,mu,EC00,EC0H,Etau,ETA"]
-    for r in rows:
-        out.append(",".join(f"{v:.12g}" for v in
-                            (r.c, r.lam, r.mu, r.ec00, r.ec0h, r.etau, r.eta)))
-    return "\n".join(out) + "\n"
+    return render(_sweep_doc(rows), "csv")

@@ -188,6 +188,21 @@ def test_kappa_survives_probability_underflow():
     assert rel(cm.kappa00, 0.002001000500250125) < 1e-12
 
 
+@pytest.mark.parametrize("lam, mu, h", [(1e-300, 1.0, 1.0), (1.0, 1e-300, 1.0),
+                                        (1e-300, 1.0, 30.0)])
+def test_tiny_rate_is_finite(lam, mu, h):
+    # the complement 1 - P0H rounds to exactly 0 here; the closed forms
+    # must not divide by it
+    p = ModelParams(lam, mu, h)
+    pm = phase_probabilities(p)
+    values = [*vars(pm).values(), *vars(expected_truncated_times(p)).values(),
+              *vars(expected_cycles(p)).values(),
+              *vars(expected_absorption_time(p, SwitchingProb(0.5))).values()]
+    assert all(math.isfinite(v) for v in values)
+    assert pm.p00 + pm.p0h == pytest.approx(1.0, abs=1e-15)
+    assert pm.ph0 + pm.phh == pytest.approx(1.0, abs=1e-15)
+
+
 def test_equal_rate_cycle_sum_is_level():
     cm = expected_cycles(PEQ)
     assert cm.m00 + cm.m0h == pytest.approx(10.0, abs=1e-12)

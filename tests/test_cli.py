@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
 
 import pytest
 
@@ -141,6 +143,62 @@ def test_scaling_rejects_unsorted_grid(capsys):
     assert "c_values" in err
 
 
+def test_scaling_malformed_grid_is_usage_error(capsys):
+    code, out, err = run_capture(capsys, [
+        "scaling", "--h", "1", "--alpha", "0.5", "--c-values", "1,x"])
+    assert code == 2
+    assert out == ""
+    assert "--c-values" in err
+
+
+@pytest.mark.parametrize("omega", ["nan", "inf", "-inf"])
+def test_mgf_rejects_non_finite_omega(capsys, omega):
+    code, out, err = run_capture(capsys, [
+        "mgf", "--lambda", "1", "--mu", "2", "--h", "1", f"--omega={omega}",
+        "--format", "json"])
+    assert code == 2
+    assert out == ""
+    assert "omega" in err
+
+
+@pytest.mark.parametrize("zmax", ["nan", "0", "-1"])
+def test_validate_rejects_bad_zmax(capsys, zmax):
+    code, out, err = run_capture(capsys, [
+        "validate", "--lambda", "1", "--mu", "2", "--h", "1", "--alpha", "0.5",
+        "--paths", "1000", f"--zmax={zmax}"])
+    assert code == 2
+    assert out == ""
+    assert "z_max" in err
+
+
+@pytest.mark.parametrize("lam, mu, h", [("1e-300", "1", "1"), ("1", "1e-300", "1"),
+                                        ("1e-300", "1", "30")])
+def test_analytics_at_tiny_rates(capsys, lam, mu, h):
+    code, out, _ = run_capture(capsys, [
+        "analytics", "--lambda", lam, "--mu", mu, "--h", h, "--alpha", "0.5",
+        "--format", "json"])
+    assert code == 0
+    assert all(math.isfinite(v) for group in json.loads(out).values()
+               for v in group.values())
+
+
+def test_tables_print_twelve_digits(capsys):
+    _, out, _ = run_capture(capsys, [
+        "scaling", "--h", "1", "--alpha", "0.5", "--c-values", "1,4,16"])
+    lines = out.splitlines()
+    assert lines[0].split() == ["c", "lambda", "mu", "EC00", "EC0H", "Etau", "ETA"]
+    assert set(lines[1]) == {"-"}
+    assert lines[2].split()[3] == "0.407313743345"
+    _, out, _ = run_capture(capsys, [
+        "validate", "--lambda", "1", "--mu", "2", "--h", "1", "--alpha", "0.5",
+        "--paths", "20000", "--seed", "11"])
+    lines = out.splitlines()
+    assert lines[0].split() == ["name", "analytic", "estimate",
+                                "standard_error", "z_score"]
+    assert lines[2].split()[3:] == ["0.00344200056194", "-0.46489336388"]
+    assert lines[-1] == "overall: PASS (n=20000, seed=11, z_max=4)"
+
+
 def test_output_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run_capture(capsys, [
@@ -159,3 +217,72 @@ def test_threads_default_reads_environment(monkeypatch):
     assert cli._threads_default() == 1
     monkeypatch.delenv("TELEGRAPH_BOX_THREADS")
     assert cli._threads_default() == 1
+
+
+# stdout of one invocation per output path, in both machine formats; the
+# SHA-256 digests were frozen before the subcommands shared one renderer,
+# so any change to a key, its order or a printed digit shows up here
+GOLDEN_ARGV = {
+    "analytics-asym": ["analytics", "--lambda", "1", "--mu", "2", "--h", "1",
+                       "--alpha", "0.5"],
+    "analytics-equal": ["analytics", "--lambda", "0.5", "--mu", "0.5",
+                        "--h", "10", "--alpha", "1"],
+    "mgf": ["mgf", "--lambda", "1", "--mu", "2", "--h", "1", "--omega", "-0.1"],
+    "mgf-d": ["mgf", "--lambda", "1", "--mu", "2", "--h", "1", "--omega", "-0.1",
+              "--d", "0.4"],
+    "simulate": ["simulate", "--lambda", "1", "--mu", "2", "--h", "1",
+                 "--alpha", "0.5", "--paths", "2000", "--seed", "3"],
+    "validate-pass": ["validate", "--lambda", "1", "--mu", "2", "--h", "1",
+                      "--alpha", "0.5", "--paths", "20000", "--seed", "11"],
+    "validate-fail": ["validate", "--lambda", "1", "--mu", "2", "--h", "1",
+                      "--alpha", "0.5", "--paths", "20000", "--seed", "11",
+                      "--zmax", "0.01"],
+    "scaling": ["scaling", "--h", "1", "--alpha", "0.5", "--c-values", "1,4,16"],
+}
+
+# (exit code, json digest, csv digest)
+GOLDEN = {
+    "analytics-asym": (
+        0,
+        "42629b20a31cc1b968a5e1717bd50c5d9e1c8d39d9800b9db1503469e4cea1d9",
+        "1b43493a721984a90d01de765204e35800194536b3e9ac914811212303841d22"),
+    "analytics-equal": (
+        0,
+        "2f1f37f4f9b1c89e26f733750e2a563e8ad1c268c21d969cef6e484ef539c9b9",
+        "7bb1ed5cc45fb5d92d158363d918f32edf58fc8609269eddbc2e1d24b55864ae"),
+    "mgf": (
+        0,
+        "adc78b4e6036291be30303e65d78e1f2e6204a74cc6a6cfb3f3a239f803e3d60",
+        "c0f96a92e3afec8cdff7a2ebf80f6d0b75ae41c5cc436644ba255b76b322c921"),
+    "mgf-d": (
+        0,
+        "4691816c008465f7cdc57975a08f22378fd9ad3c228f4f0b8b9178ad7cea8939",
+        "5b18de18188e017b1796ba10b8ae1da3f09787e68d2640916998c618ace3fbe9"),
+    "simulate": (
+        0,
+        "fb12e2c1d9f002ec5627a6962044268b913b8183e150433006c2264f12c1a888",
+        "906ed9a2292c34bf06dff201f0b1d9a2da0e245b4383e52100deb5321e340f08"),
+    "validate-pass": (
+        0,
+        "cb89b6db0e55c152a1301a80b26862029fac69ad2f1c6ce764c3f050d233f135",
+        "9f748d58335106e1c5de9c155a49cea5622cb9d62d4507aad2d9556edfa5051f"),
+    "validate-fail": (
+        1,
+        "c3c00e51bb44106aa25180ae087aaa74348f40c15137372beb03301faf5870b3",
+        "9f748d58335106e1c5de9c155a49cea5622cb9d62d4507aad2d9556edfa5051f"),
+    "scaling": (
+        0,
+        "d37bcc58267889d16cf38d8086b077aec5d3750936b166cba223eeca11c4c5ad",
+        "7f07fc4b46366fa8361c21ba732e8ff49f4d78c4de480fb660986b8863404706"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ARGV))
+def test_machine_formats_are_pinned(capsys, name):
+    want_code, *want = GOLDEN[name]
+    got = []
+    for fmt in ("json", "csv"):
+        code, out, _ = run_capture(capsys, GOLDEN_ARGV[name] + ["--format", fmt])
+        assert code == want_code
+        got.append(hashlib.sha256(out.encode()).hexdigest())
+    assert got == want

@@ -60,6 +60,14 @@ def test_theta_roots_rejects_above_bound():
         theta_roots(omega_bound(P121) * 1.000001, P121)
 
 
+@pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+def test_non_finite_omega_is_a_domain_error(omega):
+    with pytest.raises(DomainError):
+        theta_roots(omega, P121)
+    with pytest.raises(DomainError):
+        transform_from_origin(omega, P121)
+
+
 def test_omega_of_theta_rejects_at_mu():
     with pytest.raises(DomainError):
         omega_of_theta(2.0, P121)

@@ -29,6 +29,12 @@ def test_estimate_rejects_small_or_negative():
         estimate(P121, A05, 10000, -1)
 
 
+@pytest.mark.parametrize("z_max", [math.nan, math.inf, 0.0, -1.0])
+def test_validate_rejects_bad_gate(z_max):
+    with pytest.raises(DomainError):
+        validate(P121, A05, 1000, seed=0, z_max=z_max)
+
+
 def test_estimate_deterministic_across_calls_and_threads():
     a = estimate(P121, A05, 20000, seed=7, threads=1)
     b = estimate(P121, A05, 20000, seed=7, threads=1)
