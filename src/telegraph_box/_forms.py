@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .errors import DegenerateRates
+from .errors import DegenerateRates, DomainError
 
 # |lam - mu| * max(1, H) below this means "rates are equal" for formula
 # selection; the equal-rate closed forms take over.
@@ -47,33 +47,31 @@ class ClosedValues:
     mhh: float
     # conditional duration means m/p, formed before rounding so they stay
     # finite even when a probability underflows in float64
-    k00: float
-    k0h: float
-    kh0: float
-    khh: float
+    kappa00: float
+    kappa0h: float
+    kappah0: float
+    kappahh: float
 
 
-def _closed_values_equal(r: float, h: float) -> ClosedValues:
-    # equal-rate corollary forms, polynomial in x = r*H; float64 is exact
-    # to rounding here (no cancellation)
+def _closed_values_equal(r: float, h: float) -> tuple[float, ...]:
+    # equal-rate corollary forms in x = r*H, written over the bounded
+    # p0h = 1/(1+x) and p00 = x/(1+x) so no power of x or H can overflow
+    # on its own; float64 is exact to rounding here (no cancellation)
     x = r * h
-    den = (1.0 + x) ** 2
     p0h = 1.0 / (1.0 + x)
     p00 = x / (1.0 + x)
-    t0h = h * (6.0 + 6.0 * x + x * x) / (6.0 * den)
-    t00 = r * h * h * (3.0 + 2.0 * x) / (6.0 * den)
-    th0 = r * r * h ** 3 / (6.0 * den)
-    m00 = r * h * h * (3.0 + 2.0 * x) / (3.0 * den)
-    m0h = h * (3.0 + 3.0 * x + x * x) / (3.0 * den)
-    return ClosedValues(
-        p00=p00, p0h=p0h, ph0=p0h, phh=p00,
-        t00=t00, t0h=t0h, thh=t00, th0=th0,
-        m00=m00, m0h=m0h, mh0=m0h, mhh=m00,
-        k00=m00 / p00, k0h=m0h / p0h, kh0=m0h / p0h, khh=m00 / p00,
-    )
+    t0h = h * (p0h + p00 * p00 / 6.0)
+    t00 = h * p00 * (2.0 + p0h) / 6.0
+    th0 = h * p00 * p00 / 6.0
+    m00 = 2.0 * t00
+    m0h = h * (p0h + p00 * p00 / 3.0)
+    k00 = h * (2.0 + p0h) / 3.0          # m00 / p00
+    k0h = h * (1.0 + x * p00 / 3.0)      # m0h / p0h
+    return (p00, p0h, p0h, p00, t00, t0h, t00, th0,
+            m00, m0h, m0h, m00, k00, k0h, k0h, k00)
 
 
-def _closed_values_asym(lam: float, mu: float, h: float) -> ClosedValues:
+def _closed_values_asym(lam: float, mu: float, h: float) -> tuple[float, ...]:
     with mp.workdps(_DPS):
         lm = mp.mpf(lam)
         m_ = mp.mpf(mu)
@@ -110,13 +108,19 @@ def _closed_values_asym(lam: float, mu: float, h: float) -> ClosedValues:
 
         vals = [p00, p0h, ph0, phh, t00, t0h, thh, th0, m00, m0h, mh0, mhh,
                 m00 / p00, m0h / p0h, mh0 / ph0, mhh / phh]
-        return ClosedValues(*(float(v) for v in vals))
+        return tuple(float(v) for v in vals)
 
 
 def closed_values(lam: float, mu: float, h: float) -> ClosedValues:
+    """All closed forms at (lam, mu, H); DomainError if one is not finite."""
     if is_equal_rate(lam, mu, h):
-        return _closed_values_equal(0.5 * (lam + mu), h)
-    return _closed_values_asym(lam, mu, h)
+        vals = _closed_values_equal(0.5 * (lam + mu), h)
+    else:
+        vals = _closed_values_asym(lam, mu, h)
+    if not all(map(math.isfinite, vals)):
+        raise DomainError(f"closed forms at lam={lam!r}, mu={mu!r}, H={h!r} "
+                          "are not finite in float64")
+    return ClosedValues(*vals)
 
 
 def conditional_hit(lam: float, mu: float, h: float, d: float) -> float:

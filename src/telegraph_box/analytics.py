@@ -9,10 +9,10 @@ Bernoulli(alpha) boundary switching.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import _forms
-from .core import Boundary, ModelParams, SwitchingProb, validate_params
+from .core import Boundary, ModelParams, SwitchingProb
 from .errors import InvalidIndex
 
 
@@ -80,29 +80,27 @@ class AbsorptionReport:
 
 
 def _closed_values(p: ModelParams) -> _forms.ClosedValues:
-    validate_params(p)
     return _forms.closed_values(p.lam, p.mu, p.effective_level)
+
+
+def _select(cls, cv: _forms.ClosedValues):
+    # each result type holds the ClosedValues fields of the same names
+    return cls(*(getattr(cv, f.name) for f in fields(cls)))
 
 
 def phase_probabilities(p: ModelParams) -> PhaseMatrix:
     """Outcome probabilities of the four phase types."""
-    cv = _closed_values(p)
-    return PhaseMatrix(cv.p00, cv.p0h, cv.ph0, cv.phh)
+    return _select(PhaseMatrix, _closed_values(p))
 
 
 def expected_truncated_times(p: ModelParams) -> TruncatedTimeMeans:
     """Restricted means of the dual stopping times, one per phase type."""
-    cv = _closed_values(p)
-    return TruncatedTimeMeans(cv.t00, cv.t0h, cv.thh, cv.th0)
+    return _select(TruncatedTimeMeans, _closed_values(p))
 
 
 def expected_cycles(p: ModelParams) -> CycleMeans:
     """Unconditional and conditional mean phase durations."""
-    cv = _closed_values(p)
-    return CycleMeans(
-        cv.m00, cv.m0h, cv.mh0, cv.mhh,
-        cv.k00, cv.k0h, cv.kh0, cv.khh,
-    )
+    return _select(CycleMeans, _closed_values(p))
 
 
 def matrix_power(pm: PhaseMatrix, j: int) -> PhaseMatrix:
@@ -159,7 +157,7 @@ def expected_length_L(p: ModelParams, n: int) -> float:
     if n < 1:
         raise InvalidIndex(f"expected_length_L needs n >= 1, got {n}")
     cv = _closed_values(p)
-    pm = PhaseMatrix(cv.p00, cv.p0h, cv.ph0, cv.phh)
+    pm = _select(PhaseMatrix, cv)
     l1 = cv.m00 + cv.m0h
     l1s = cv.mh0 + cv.mhh
     if n == 1:
@@ -167,6 +165,19 @@ def expected_length_L(p: ModelParams, n: int) -> float:
     return (l1
             + l1 * q_sum(pm, 1, n - 1, Boundary.ORIGIN, Boundary.ORIGIN)
             + l1s * q_sum(pm, 1, n - 1, Boundary.ORIGIN, Boundary.LEVEL))
+
+
+def _absorption(cv: _forms.ClosedValues, alpha: float) -> AbsorptionReport:
+    l1 = cv.m00 + cv.m0h
+    l1s = cv.mh0 + cv.mhh
+    vart = cv.p00 + cv.phh - 1.0
+    if alpha == 1.0:
+        eta = l1
+    else:
+        ssum = cv.p0h + cv.ph0
+        eta = ((l1 * cv.ph0 + l1s * cv.p0h) / (alpha * ssum)
+               + cv.p0h * (l1 - l1s) / (ssum * (1.0 - (1.0 - alpha) * vart)))
+    return AbsorptionReport(l1, l1s, vart, eta)
 
 
 def expected_absorption_time(p: ModelParams, s: SwitchingProb) -> AbsorptionReport:
@@ -177,15 +188,4 @@ def expected_absorption_time(p: ModelParams, s: SwitchingProb) -> AbsorptionRepo
     phase chain collapses the series to two terms.  alpha = 1 returns
     exactly the single-phase mean l1.
     """
-    cv = _closed_values(p)
-    l1 = cv.m00 + cv.m0h
-    l1s = cv.mh0 + cv.mhh
-    vart = cv.p00 + cv.phh - 1.0
-    alpha = s.alpha
-    if alpha == 1.0:
-        eta = l1
-    else:
-        ssum = cv.p0h + cv.ph0
-        eta = ((l1 * cv.ph0 + l1s * cv.p0h) / (alpha * ssum)
-               + cv.p0h * (l1 - l1s) / (ssum * (1.0 - (1.0 - alpha) * vart)))
-    return AbsorptionReport(l1, l1s, vart, eta)
+    return _absorption(_closed_values(p), s.alpha)

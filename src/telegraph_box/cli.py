@@ -17,7 +17,7 @@ from dataclasses import asdict
 
 from . import analytics, mgf, montecarlo, scaling
 from ._report import render
-from .core import ModelParams, SwitchingProb, validate_params
+from .core import ModelParams, SwitchingProb
 from .errors import TelegraphBoxError
 
 
@@ -119,19 +119,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_analytics(ns: argparse.Namespace) -> tuple[str, int]:
-    p = validate_params(ModelParams(ns.lam, ns.mu, ns.h, ns.velocity))
+    p = ModelParams(ns.lam, ns.mu, ns.h, ns.velocity)
     s = SwitchingProb(ns.alpha)
+    cv = analytics._closed_values(p)
     doc = {
-        "phase_probabilities": asdict(analytics.phase_probabilities(p)),
-        "truncated_time_means": asdict(analytics.expected_truncated_times(p)),
-        "cycle_means": asdict(analytics.expected_cycles(p)),
-        "absorption": asdict(analytics.expected_absorption_time(p, s)),
+        "phase_probabilities": asdict(analytics._select(analytics.PhaseMatrix, cv)),
+        "truncated_time_means": asdict(analytics._select(analytics.TruncatedTimeMeans, cv)),
+        "cycle_means": asdict(analytics._select(analytics.CycleMeans, cv)),
+        "absorption": asdict(analytics._absorption(cv, s.alpha)),
     }
     return render(doc, ns.fmt), 0
 
 
 def _cmd_mgf(ns: argparse.Namespace) -> tuple[str, int]:
-    p = validate_params(ModelParams(ns.lam, ns.mu, ns.h, ns.velocity))
+    p = ModelParams(ns.lam, ns.mu, ns.h, ns.velocity)
     rp = mgf.theta_roots(ns.omega, p)
     doc = {"omega": rp.omega, "theta1": rp.theta1, "theta2": rp.theta2}
     doc["f00"], doc["f0h"] = mgf.transform_from_origin(ns.omega, p)
@@ -142,7 +143,7 @@ def _cmd_mgf(ns: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_simulate(ns: argparse.Namespace) -> tuple[str, int]:
-    p = validate_params(ModelParams(ns.lam, ns.mu, ns.h, ns.velocity))
+    p = ModelParams(ns.lam, ns.mu, ns.h, ns.velocity)
     s = SwitchingProb(ns.alpha)
     summ = montecarlo.estimate(p, s, ns.paths, ns.seed, threads=ns.threads)
     names, cyc = montecarlo._QUANTITIES[:4], montecarlo._QUANTITIES[4:8]
@@ -161,7 +162,7 @@ def _cmd_simulate(ns: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_validate(ns: argparse.Namespace) -> tuple[str, int]:
-    p = validate_params(ModelParams(ns.lam, ns.mu, ns.h, ns.velocity))
+    p = ModelParams(ns.lam, ns.mu, ns.h, ns.velocity)
     s = SwitchingProb(ns.alpha)
     rep = montecarlo.validate(p, s, ns.paths, ns.seed, z_max=ns.zmax,
                               threads=ns.threads)

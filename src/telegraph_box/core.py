@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import AlphaOutOfRange, NonPositiveParameter
+from .errors import AlphaOutOfRange, DomainError, NonPositiveParameter
 
 
 class Boundary(Enum):
@@ -35,12 +35,17 @@ class ModelParams:
     mu       : rate of the Exp(mu) downward sojourns, 1/time
     h        : upper boundary level H, length
     velocity : constant speed c, length/time (default 1)
+
+    Construction runs validate_params, so an invalid instance cannot exist.
     """
 
     lam: float
     mu: float
     h: float
     velocity: float = 1.0
+
+    def __post_init__(self) -> None:
+        validate_params(self)
 
     @property
     def effective_level(self) -> float:
@@ -63,7 +68,8 @@ class SwitchingProb:
 def validate_params(p: ModelParams) -> ModelParams:
     """Return p unchanged if all fields are strictly positive and finite.
 
-    Raises NonPositiveParameter naming the offending field otherwise.
+    Raises NonPositiveParameter naming the offending field otherwise, and
+    DomainError if h/velocity underflows to 0 or overflows to inf.
     The public field name for the up-rate is 'lambda' even though the
     attribute is spelled `lam` (keyword clash).
     """
@@ -76,6 +82,9 @@ def validate_params(p: ModelParams) -> ModelParams:
     for name, value in checks:
         if not np.isfinite(value) or value <= 0.0:
             raise NonPositiveParameter(name, value)
+    if not 0.0 < p.effective_level < np.inf:
+        raise DomainError(f"h/velocity must be positive and finite, "
+                          f"got {p.effective_level!r}")
     return p
 
 

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from . import _forms
-from .core import ModelParams, validate_params
+from .core import ModelParams
 from .errors import DomainError
 
 # below this spread (scaled by the level) the two roots are treated as
@@ -44,7 +44,6 @@ def omega_bound(p: ModelParams) -> float:
 
 def omega_of_theta(theta: float, p: ModelParams) -> float:
     """Frequency omega = theta*(mu - lam - theta)/(mu - theta), theta < mu."""
-    validate_params(p)
     if theta >= p.mu:
         raise DomainError(f"theta must be below mu={p.mu}, got {theta}")
     return theta * (p.mu - p.lam - theta) / (p.mu - theta)
@@ -57,7 +56,6 @@ def theta_roots(omega: float, p: ModelParams) -> RootPair:
     follows from the product mu*omega.  Raises DomainError when omega is
     not finite or exceeds omega_bound (complex roots).
     """
-    validate_params(p)
     lam, mu = p.lam, p.mu
     if not (math.isfinite(omega) and omega <= omega_bound(p)):
         raise DomainError(
@@ -82,7 +80,6 @@ def transform_from_origin(omega: float, p: ModelParams) -> tuple[float, float]:
     F0H over phases that reach the level first; at omega=0 the pair is
     exactly the phase-probability row (P00, P0H).
     """
-    validate_params(p)
     lam, mu, h = p.lam, p.mu, p.effective_level
     if omega == 0.0:
         cv = _forms.closed_values(lam, mu, h)
@@ -108,12 +105,14 @@ def transform_from_H(omega: float, d: float, p: ModelParams) -> tuple[float, flo
 
     At omega=0 returns the conditional outcome probabilities
     (1 - P_hit, P_hit).  A descent d >= H reaches the origin outright in
-    dual time zero, so the pair degenerates to (0, 1) for every omega.
+    dual time zero, so the pair degenerates to (0, 1) for every finite
+    omega.
     """
-    validate_params(p)
     lam, mu, h = p.lam, p.mu, p.effective_level
     if d < 0.0 or not math.isfinite(d):
         raise DomainError(f"descent duration must be finite and >= 0, got {d}")
+    if not math.isfinite(omega):
+        raise DomainError(f"omega must be finite, got {omega}")
     if d >= h:
         return 0.0, 1.0
     if omega == 0.0:
@@ -140,7 +139,6 @@ def transform_from_H(omega: float, d: float, p: ModelParams) -> tuple[float, flo
 def conditional_hit_prob(d: float, p: ModelParams) -> float:
     """Probability that a phase from the level ends at the origin, given
     its first descent lasts d.  Returns 1 for d >= H (straight drop)."""
-    validate_params(p)
     if d < 0.0 or not math.isfinite(d):
         raise DomainError(f"descent duration must be finite and >= 0, got {d}")
     return _forms.conditional_hit(p.lam, p.mu, p.effective_level, d)
@@ -155,7 +153,6 @@ def conditional_cycle_means(d: float, p: ModelParams) -> tuple[float, float]:
     phase durations follow as 2*MHH and 2*MH0 + H*P_hit.  Requires
     clearly distinct rates (DegenerateRates otherwise).
     """
-    validate_params(p)
     h = p.effective_level
     if not 0.0 <= d < h:
         raise DomainError(f"descent duration must lie in [0, H={h}), got {d}")
@@ -169,7 +166,6 @@ def wald_statistic(theta: float, y_at_stop: float, t_stop: float,
     Over phases started at the origin, with (y, t) the dual coordinates
     at the phase end, its expectation is exactly 1 for any theta < mu.
     """
-    validate_params(p)
     if theta >= p.mu:
         raise DomainError(f"theta must be below mu={p.mu}, got {theta}")
     return math.exp(theta * y_at_stop - p.lam * t_stop * theta / (p.mu - theta))

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import analytics
 from ._report import render
-from .core import Boundary, ModelParams, RandomSource, SwitchingProb, validate_params
+from .core import Boundary, ModelParams, RandomSource, SwitchingProb
 from .errors import DomainError
 from .simulate import _run_absorption, _run_phases
 
@@ -118,7 +118,6 @@ def _reduce_pairwise(blocks: list[np.ndarray]) -> np.ndarray:
 
 def _gather(p: ModelParams, s: SwitchingProb, n_paths: int, seed: int,
             threads: int | None) -> np.ndarray:
-    validate_params(p)
     if n_paths < 10 ** 3:
         raise DomainError(f"need at least 1000 paths, got {n_paths}")
     if seed < 0:
@@ -163,14 +162,11 @@ def estimate(p: ModelParams, s: SwitchingProb, n_paths: int, seed: int,
 
 
 def _analytic_values(p: ModelParams, s: SwitchingProb) -> dict[str, float]:
-    pm = analytics.phase_probabilities(p)
-    cm = analytics.expected_cycles(p)
-    rep = analytics.expected_absorption_time(p, s)
+    cv = analytics._closed_values(p)
     return {
-        "p00": pm.p00, "p0h": pm.p0h, "ph0": pm.ph0, "phh": pm.phh,
-        "m00": cm.m00, "m0h": cm.m0h, "mh0": cm.mh0, "mhh": cm.mhh,
+        **{name: getattr(cv, name) for name in _QUANTITIES[:8]},
         "mean_m": 1.0 / s.alpha,
-        "absorption_time": rep.expected_absorption_time,
+        "absorption_time": analytics._absorption(cv, s.alpha).expected_absorption_time,
         "wald_half_mu": 1.0,
         "wald_minus_one": 1.0,
     }

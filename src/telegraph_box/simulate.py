@@ -17,7 +17,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .core import Boundary, ModelParams, RandomSource, SwitchingProb, exp_draw, validate_params
+from .core import Boundary, ModelParams, RandomSource, SwitchingProb, exp_draw
 from .errors import IdentityViolation, MaxPhasesExceeded, ReversalCapExceeded
 
 # defensive cap on velocity reversals within one phase; phases end with
@@ -78,7 +78,6 @@ def simulate_phase(start: Boundary, p: ModelParams, rng: RandomSource) -> PhaseR
     one directed away from the start boundary, and truncates the sojourn
     during which the particle reaches a boundary.
     """
-    validate_params(p)
     h = p.effective_level
     going_up = start is Boundary.ORIGIN
     pos = 0.0 if going_up else h
@@ -124,7 +123,6 @@ def simulate_until_absorption(p: ModelParams, s: SwitchingProb, rng: RandomSourc
     Raises MaxPhasesExceeded if absorption has not happened within
     max_phases; the error keeps censored paths out of any statistics.
     """
-    validate_params(p)
     if max_phases < 1:
         raise MaxPhasesExceeded(max_phases)
     phases: list[PhaseRecord] = []
@@ -182,7 +180,6 @@ def dual_representation_check(ph: PhaseRecord, p: ModelParams) -> DualCheck:
     2*T + H (level to origin).  Raises IdentityViolation otherwise;
     a violation means the simulator itself is wrong.
     """
-    validate_params(p)
     h = p.effective_level
     scan = (_dual_scan_from_origin if ph.start is Boundary.ORIGIN
             else _dual_scan_from_level)(ph.ups, ph.downs, h)
@@ -288,7 +285,6 @@ def _run_phases(start: Boundary, p: ModelParams, rng: RandomSource, n: int):
     y_stop the dual jump total at the stop, so duration and t_stop come
     from independent accumulations and identity checks stay meaningful.
     """
-    validate_params(p)
     return _run_lanes(np.full(n, start is Boundary.ORIGIN), p, rng)
 
 
@@ -300,7 +296,6 @@ def _run_absorption(p: ModelParams, s: SwitchingProb, rng: RandomSource, n: int,
     phase per outer round, each from the boundary its last phase hit; a
     Bernoulli(alpha) coin per path after every phase retires the absorbed.
     """
-    validate_params(p)
     m = np.empty(n, dtype=np.int64)
     total = np.empty(n)
     absorbed_level = np.empty(n, dtype=bool)

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from telegraph_box import (
     Boundary,
+    DomainError,
     InvalidIndex,
     ModelParams,
     SwitchingProb,
@@ -25,6 +26,7 @@ from telegraph_box import (
     phase_probabilities,
     q_sum,
 )
+from telegraph_box import _forms
 
 P121 = ModelParams(1.0, 2.0, 1.0)
 PEQ = ModelParams(0.5, 0.5, 10.0)
@@ -201,6 +203,40 @@ def test_tiny_rate_is_finite(lam, mu, h):
     assert all(math.isfinite(v) for v in values)
     assert pm.p00 + pm.p0h == pytest.approx(1.0, abs=1e-15)
     assert pm.ph0 + pm.phh == pytest.approx(1.0, abs=1e-15)
+
+
+def _equal_rate_polynomial(r, h):
+    # the equal-rate corollary as printed, polynomial in x = r*H; it
+    # overflows in h ** 3 long before the values themselves do
+    x = r * h
+    den = (1.0 + x) ** 2
+    t00 = r * h * h * (3.0 + 2.0 * x) / (6.0 * den)
+    m0h = h * (3.0 + 3.0 * x + x * x) / (3.0 * den)
+    p0h, p00 = 1.0 / (1.0 + x), x / (1.0 + x)
+    return dict(p00=p00, p0h=p0h, t00=t00,
+                t0h=h * (6.0 + 6.0 * x + x * x) / (6.0 * den),
+                th0=r * r * h ** 3 / (6.0 * den),
+                m00=2.0 * t00, m0h=m0h,
+                kappa00=2.0 * t00 / p00, kappa0h=m0h / p0h)
+
+
+def test_equal_rate_forms_match_the_polynomial():
+    rng = np.random.default_rng(3)
+    for r, h in 10.0 ** rng.uniform(-4.0, 4.0, (2000, 2)):
+        cv = _forms.closed_values(r, r, h)
+        for name, want in _equal_rate_polynomial(r, h).items():
+            assert rel(getattr(cv, name), want) < 2e-15, (r, h, name)
+
+
+def test_equal_rate_extremes():
+    # kappa0H ~ H^2 r / 3 = 3e599 at (1, 1, 1e300): a typed error, not
+    # OverflowError from the polynomial's h ** 3
+    with pytest.raises(DomainError, match="not finite"):
+        phase_probabilities(ModelParams(1.0, 1.0, 1e300))
+    # r*H underflows to 0: no kappa = 0/0
+    cm = expected_cycles(ModelParams(1e-200, 1e-200, 1e-200))
+    assert all(math.isfinite(v) for v in vars(cm).values())
+    assert cm.kappa00 == cm.kappa0h == 1e-200
 
 
 def test_equal_rate_cycle_sum_is_level():

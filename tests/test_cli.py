@@ -182,6 +182,17 @@ def test_analytics_at_tiny_rates(capsys, lam, mu, h):
                for v in group.values())
 
 
+@pytest.mark.parametrize("level", [["--h", "1e-300", "--velocity", "1e300"],
+                                   ["--h", "1e300", "--velocity", "1e-300"],
+                                   ["--h", "1e300"]])
+def test_analytics_out_of_float_range_is_parameter_error(capsys, level):
+    code, out, err = run_capture(capsys, [
+        "analytics", "--lambda", "1", "--mu", "1", *level, "--alpha", "0.5"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_tables_print_twelve_digits(capsys):
     _, out, _ = run_capture(capsys, [
         "scaling", "--h", "1", "--alpha", "0.5", "--c-values", "1,4,16"])

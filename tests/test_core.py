@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from telegraph_box import (
     AlphaOutOfRange,
     Boundary,
+    DomainError,
     ModelParams,
     NonPositiveParameter,
     RandomSource,
@@ -49,6 +50,20 @@ def test_validate_params_rejects(kwargs, field):
         validate_params(ModelParams(**kwargs))
     assert exc.value.field == field
     assert field in str(exc.value)
+
+
+@pytest.mark.parametrize("kwargs,field", test_validate_params_rejects.pytestmark[0].args[1])
+def test_model_params_rejects_at_construction(kwargs, field):
+    with pytest.raises(NonPositiveParameter) as exc:
+        ModelParams(**kwargs)
+    assert exc.value.field == field
+
+
+@pytest.mark.parametrize("h, velocity", [(1e-300, 1e300), (1e300, 1e-300)])
+def test_effective_level_must_be_finite_and_positive(h, velocity):
+    # each field is fine on its own; only the ratio h/velocity leaves float64
+    with pytest.raises(DomainError, match="h/velocity"):
+        ModelParams(1.0, 1.0, h, velocity)
 
 
 def test_effective_level_scales_with_velocity():

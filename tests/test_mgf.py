@@ -66,6 +66,8 @@ def test_non_finite_omega_is_a_domain_error(omega):
         theta_roots(omega, P121)
     with pytest.raises(DomainError):
         transform_from_origin(omega, P121)
+    with pytest.raises(DomainError):
+        transform_from_H(omega, 2.0, P121)   # d >= H takes the shortcut
 
 
 def test_omega_of_theta_rejects_at_mu():
