@@ -3,9 +3,10 @@
 All functions here work on plain floats (lam, mu, H) with H already the
 effective level (velocity folded in by the caller).  Rate-asymmetric
 formulas share denominators in (lam - mu) whose numerators cancel to
-third order as the rates approach each other, so the asymmetric branch
-is evaluated in extended precision (mpmath, 40 digits) and rounded once
-at the end.  Within EQUAL_BAND of the diagonal the exact equal-rate
+third order in delta = (mu - lam)H as the rates approach each other, so
+the asymmetric branch is evaluated in extended precision (mpmath, 20
+digits beyond what that cancellation costs and never fewer than 40) and
+rounded once at the end.  Within EQUAL_BAND of the diagonal the exact equal-rate
 forms are used instead, evaluated at the midpoint rate.
 """
 
@@ -23,6 +24,15 @@ from .errors import DegenerateRates, DomainError
 EQUAL_BAND = 1e-8
 
 _DPS = 40
+
+
+def _digits(lam: float, mu: float, h: float) -> int:
+    """Working precision for the asymmetric forms: the third-order
+    cancellation in delta = (mu - lam)H costs three digits per decade of
+    |delta| below 1, and 20 digits are kept beyond it.  log10 of the two
+    factors, because their product can underflow."""
+    decades = -(math.log10(abs(mu - lam)) + math.log10(h))
+    return max(_DPS, 20 + 3 * math.ceil(decades))
 
 
 def is_equal_rate(lam: float, mu: float, h: float) -> bool:
@@ -72,7 +82,7 @@ def _closed_values_equal(r: float, h: float) -> tuple[float, ...]:
 
 
 def _closed_values_asym(lam: float, mu: float, h: float) -> tuple[float, ...]:
-    with mp.workdps(_DPS):
+    with mp.workdps(_digits(lam, mu, h)):
         lm = mp.mpf(lam)
         m_ = mp.mpf(mu)
         H = mp.mpf(h)
@@ -148,7 +158,9 @@ def conditional_means(lam: float, mu: float, h: float, d: float) -> tuple[float,
         raise DegenerateRates(
             f"conditional means need distinct rates; |lam-mu|*max(1,H) < {EQUAL_BAND}"
         )
-    with mp.workdps(_DPS):
+    # the terms in d cancel to third order in (mu - lam)d, the smaller
+    # delta since d < H; at d = 0 they vanish
+    with mp.workdps(_digits(lam, mu, d or h)):
         lm = mp.mpf(lam)
         m_ = mp.mpf(mu)
         H = mp.mpf(h)

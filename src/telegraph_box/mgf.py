@@ -12,6 +12,7 @@ the upper boundary.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,6 +36,29 @@ class RootPair:
     theta1: float
     theta2: float
     omega: float
+
+
+def _not_finite(what: str, omega: float, p: ModelParams) -> DomainError:
+    return DomainError(f"{what} at omega={omega!r}, lam={p.lam!r}, mu={p.mu!r}, "
+                       f"H={p.effective_level!r} are not finite in float64")
+
+
+def _float64(what: str):
+    """Make a transform raise DomainError, not return inf or nan or raise
+    a bare arithmetic error, where float64 cannot hold its value."""
+    def wrap(fn):
+        @functools.wraps(fn)
+        def checked(omega: float, *args):
+            p = args[-1]
+            try:
+                pair = fn(omega, *args)
+            except (OverflowError, ZeroDivisionError) as exc:
+                raise _not_finite(what, omega, p) from exc
+            if not all(map(math.isfinite, pair)):
+                raise _not_finite(what, omega, p)
+            return pair
+        return checked
+    return wrap
 
 
 def omega_bound(p: ModelParams) -> float:
@@ -62,17 +86,26 @@ def theta_roots(omega: float, p: ModelParams) -> RootPair:
             f"omega={omega} must be finite and at most the admissible "
             f"bound {omega_bound(p)}"
         )
-    b = lam - mu - omega
-    c = mu * omega
-    disc = omega * omega - 2.0 * (lam + mu) * omega + (lam - mu) ** 2
+    # past about 2**500 a square overflows (or underflows below 2**-500),
+    # so there the quadratic is solved in units of a power of two near the
+    # largest input, an exact scaling; in range the unit is 1
+    e = math.frexp(max(lam, mu, abs(omega)))[1]
+    unit = math.ldexp(1.0, e) if abs(e) > 500 else 1.0
+    ls, ms, ws = lam / unit, mu / unit, omega / unit
+    b = ls - ms - ws
+    c = ms * ws
+    disc = ws * ws - 2.0 * (ls + ms) * ws + (ls - ms) ** 2
     if disc < 0.0:
         disc = 0.0  # roundoff at the boundary, roots coincide there
     q = -(b + math.copysign(math.sqrt(disc), b)) / 2.0
     other = c / q if q != 0.0 else 0.0
-    t1, t2 = (q, other) if q <= other else (other, q)
+    t1, t2 = (q * unit, other * unit) if q <= other else (other * unit, q * unit)
+    if not (math.isfinite(t1) and math.isfinite(t2)):
+        raise _not_finite("roots", omega, p)
     return RootPair(t1, t2, omega)
 
 
+@_float64("transforms from the origin")
 def transform_from_origin(omega: float, p: ModelParams) -> tuple[float, float]:
     """Restricted transforms (F00, F0H) of a phase started at the origin.
 
@@ -99,6 +132,7 @@ def transform_from_origin(omega: float, p: ModelParams) -> tuple[float, float]:
     return f00, f0h
 
 
+@_float64("transforms from the level")
 def transform_from_H(omega: float, d: float, p: ModelParams) -> tuple[float, float]:
     """Restricted transforms (FHH, FH0) of a phase started at the level,
     conditioned on the first descent lasting d.

@@ -27,6 +27,16 @@ _REVERSAL_CAP = 10 ** 7
 # |C - (2T +/- H)| must stay below this times max(1, C)
 _DUAL_TOL = 1e-9
 
+# speculative round blocks in the array kernel: a block is sized to about
+# one expected stop, capped in rounds and in draws, and is not worth its
+# fixed cost below _BLOCK_MIN rounds.  The stop hazard it is sized from
+# forgets the past by halving its counts once they hold more than
+# _HAZARD_STOPS stops, so it follows the falling hazard of the lanes left.
+_BLOCK_MIN = 8
+_BLOCK_ROUNDS = 256
+_BLOCK_CELLS = 2 ** 15
+_HAZARD_STOPS = 64
+
 
 @dataclass(frozen=True)
 class PhaseRecord:
@@ -224,8 +234,15 @@ def _run_lanes(from_origin: np.ndarray, p: ModelParams, rng: RandomSource):
     are summed per parity and read as up or down totals when the lane
     stops.  Live lanes are compacted densely after every round that stops
     some of them.
+
+    When few lanes stop per round, a round costs more in numpy calls than
+    in arithmetic, so the kernel skips ahead with _quiet_rounds over the
+    rounds in which no lane stops, sizing the block from the stops seen
+    so far.  Either way each round takes its draws from the generator in
+    the same order and sums them in the same order.
     """
     h, lam, mu = p.effective_level, p.lam, p.mu
+    gen = rng.gen
     n = from_origin.size
     end_level = np.empty(n, dtype=bool)
     duration = np.empty(n)
@@ -239,15 +256,30 @@ def _run_lanes(from_origin: np.ndarray, p: ModelParams, rng: RandomSource):
     this = np.zeros(n)      # draws of this round's parity
     other = np.zeros(n)     # draws of the other parity
     rounds = 0
+    # stop hazard, stops per lane-round, starting from one
+    stops = lane_rounds = 1
     while lane.size:
         if rounds == _REVERSAL_CAP:
             raise ReversalCapExceeded(_REVERSAL_CAP)
-        draw = rng.gen.standard_exponential(lane.size, method="inv") / np.where(up, lam, mu)
+        k = lane.size
+        block = min(int(lane_rounds / (stops * k)), _BLOCK_ROUNDS, _BLOCK_CELLS // k,
+                    _REVERSAL_CAP - rounds) // 2 * 2
+        if block < _BLOCK_MIN:
+            draw = gen.standard_exponential(k, method="inv") / np.where(up, lam, mu)
+        else:
+            quiet, draw, up, pos, dur, this, other = _quiet_rounds(
+                gen, block, h, lam, mu, up, pos, dur, this, other)
+            rounds += quiet
+            lane_rounds += quiet * k
         this += draw
         gap = np.where(up, h - pos, pos)
         hit = draw >= gap
+        lane_rounds += k
         if hit.any():
             at = np.flatnonzero(hit)
+            stops += at.size
+            if stops > _HAZARD_STOPS:
+                stops, lane_rounds = stops / 2, lane_rounds / 2
             fin = lane.take(at)
             end_up = up.take(at)
             end_level[fin] = end_up
@@ -275,6 +307,63 @@ def _run_lanes(from_origin: np.ndarray, p: ModelParams, rng: RandomSource):
         this, other = other, this
         rounds += 1
     return end_level, duration, n_switches, t_stop, y_stop
+
+
+def _quiet_rounds(gen, block, h, lam, mu, up, pos, dur, this, other):
+    """Draw the next `block` rounds (an even number) of every lane at once
+    and advance the lanes over the leading rounds in which none stops.
+
+    Returns (quiet, draw, up, pos, dur, this, other): the number of rounds
+    skipped, then the draws and lane state of the round after them, which
+    either stops a lane or is the block's last; the caller finishes that
+    round.  One call of block*k draws gives the same numbers as block
+    calls of k, and cumulative sums add them in the per-round order, so
+    every value is the one the round-by-round loop computes.  The
+    generator is stepped back over the draws of the rounds not used.
+    """
+    k = up.size
+    going_up = np.stack((up, ~up))      # by round parity
+    # pair i holds rounds 2i and 2i+1
+    draws = gen.standard_exponential(block * k, method="inv").reshape(-1, 2, k)
+    draws /= np.where(going_up, lam, mu)
+    # row t of track is the position at the start of round t
+    track = np.empty((block + 1, k))
+    track[0] = pos
+    np.multiply(draws, np.where(going_up, 1.0, -1.0), out=track[1:].reshape(-1, 2, k))
+    np.cumsum(track, axis=0, out=track)
+    start = track[:-1].reshape(-1, 2, k)
+    hit = draws >= np.where(going_up, h - start, start)
+    stopping = np.flatnonzero(hit.reshape(block, k).any(axis=1))
+    quiet = int(stopping[0]) if stopping.size else block - 1
+    _rewind(gen.bit_generator, (block - quiet - 1) * k)
+    draws = draws.reshape(block, k)
+    if quiet:
+        # duration and the two parity totals; adding the zeros of the
+        # other parity leaves a total unchanged
+        sums = np.zeros((quiet + 1, 3, k))
+        sums[0] = dur, this, other
+        sums[1:, 0] = draws[:quiet]
+        sums[1::2, 1] = draws[0:quiet:2]
+        sums[2::2, 2] = draws[1:quiet:2]
+        np.cumsum(sums, axis=0, out=sums)
+        dur, this, other = sums[-1]
+        if quiet % 2:
+            this, other = other, this
+    return quiet, draws[quiet], going_up[quiet % 2], track[quiet], dur, this, other
+
+
+def _rewind(bitgen, steps: int) -> None:
+    """Step a bit generator back over `steps` 64-bit draws; the PCG64
+    generator of RandomSource spends one step per double.  advance()
+    drops a buffered 32-bit half word, so it is put back."""
+    if not steps:
+        return
+    before = bitgen.state
+    bitgen.advance(-steps)
+    if before["has_uint32"]:
+        after = bitgen.state
+        after["has_uint32"], after["uinteger"] = 1, before["uinteger"]
+        bitgen.state = after
 
 
 def _run_phases(start: Boundary, p: ModelParams, rng: RandomSource, n: int):

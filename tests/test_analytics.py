@@ -205,6 +205,33 @@ def test_tiny_rate_is_finite(lam, mu, h):
     assert pm.ph0 + pm.phh == pytest.approx(1.0, abs=1e-15)
 
 
+def _many_digits(monkeypatch):
+    # the same formulas at at least 400 digits and four times what the
+    # code picks: 400 cannot carry the third-order cancellation in
+    # (mu - lam)H at H = 1e-300, which takes about 900
+    picked = _forms._digits
+    monkeypatch.setattr(_forms, "_digits", lambda *a: max(400, 4 * picked(*a)))
+
+
+@pytest.mark.parametrize("h", [1e-9, 1e-12, 1e-15, 1e-30, 1e-41, 1e-300])
+def test_asymmetric_forms_at_tiny_delta_match_many_digits(monkeypatch, h):
+    # (mu - lam)H = h: far from the equal-rate band in the rates, deep in
+    # the cancellation of the asymmetric forms
+    got = vars(_forms.closed_values(1.0, 2.0, h))
+    _many_digits(monkeypatch)
+    want = vars(_forms.closed_values(1.0, 2.0, h))
+    for name, v in want.items():
+        assert math.isclose(got[name], v, rel_tol=1e-12), name
+
+
+@pytest.mark.parametrize("h, d", [(1e-12, 5e-13), (1.0, 1e-12), (1e-300, 5e-301)])
+def test_conditional_means_at_tiny_delta_match_many_digits(monkeypatch, h, d):
+    got = _forms.conditional_means(1.0, 2.0, h, d)
+    _many_digits(monkeypatch)
+    want = _forms.conditional_means(1.0, 2.0, h, d)
+    assert all(math.isclose(a, b, rel_tol=1e-12) for a, b in zip(got, want))
+
+
 def _equal_rate_polynomial(r, h):
     # the equal-rate corollary as printed, polynomial in x = r*H; it
     # overflows in h ** 3 long before the values themselves do

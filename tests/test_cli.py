@@ -193,6 +193,28 @@ def test_analytics_out_of_float_range_is_parameter_error(capsys, level):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("h", ["1e-41", "1e-300"])
+def test_analytics_at_tiny_asymmetric_level(capsys, h):
+    # (mu - lam)H = H: at 40 digits e^((lam - mu)H) rounds to 1 here and
+    # the phase probability p00 to 0, which the kappa ratio divides by
+    code, out, _ = run_capture(capsys, [
+        "analytics", "--lambda", "1", "--mu", "2", "--h", h, "--alpha", "0.5",
+        "--format", "json"])
+    assert code in (0, 2)
+    if code == 0:
+        assert all(math.isfinite(v) for group in json.loads(out).values()
+                   for v in group.values())
+
+
+def test_mgf_at_huge_rates_is_parameter_error(capsys):
+    code, out, err = run_capture(capsys, [
+        "mgf", "--lambda", "1e200", "--mu", "2e200", "--h", "1", "--omega=-1",
+        "--format", "json"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_tables_print_twelve_digits(capsys):
     _, out, _ = run_capture(capsys, [
         "scaling", "--h", "1", "--alpha", "0.5", "--c-values", "1,4,16"])

@@ -21,8 +21,10 @@ from telegraph_box import (
     MaxPhasesExceeded,
     ModelParams,
     RandomSource,
+    ReversalCapExceeded,
     SwitchingProb,
 )
+from telegraph_box import simulate
 from telegraph_box.simulate import _run_absorption, _run_phases
 
 N = 4096
@@ -97,3 +99,73 @@ def test_array_absorption_respects_phase_budget():
     with pytest.raises(MaxPhasesExceeded):
         _run_absorption(ModelParams(1.0, 2.0, 1.0), SwitchingProb(0.02),
                         RandomSource(0, 0), N, max_phases=1)
+
+
+# Digests of an engine's outputs plus the next 8 uniforms its generator
+# gives afterwards, frozen on the per-round kernel.  The kernel may draw
+# ahead and rewind the generator; these pin that every rewind leaves the
+# generator exactly where the per-round kernel left it.  The n = 64 cases
+# at (5,5,20) spend almost every round in the few-lane tail.
+# (engine, case, start or alpha, n, seed) -> digest
+STREAM_DIGESTS = {
+    ("phases", (5.0, 5.0, 20.0), "origin", 64, 7):
+        '2a91c303bca16e130a38c80b8e1e1e02d9eb53551261e8d15f3e5ad56084cf3c',
+    ("phases", (5.0, 5.0, 20.0), "level", 64, 8):
+        'f94a05c9f1c484da2cdc711b16e3b02bb2ada94582739266e6d7b5fabf04f169',
+    ("phases", (1.0, 2.0, 1.0), "origin", N, 7):
+        '543d02c1db3935e3cb3146cf8bad49ccb3b4282e0d261200c30740c9b9fc2418',
+    ("phases", (5.0, 5.0, 20.0), "level", N, 8):
+        '074a764f91e1c75cfcebc1f98141834c828c72c6d4fead17c3976b4c588a8b1b',
+    ("absorption", (5.0, 5.0, 20.0), 1.0, 64, 7):
+        '147c9d81833ea3fecce64aa950b9e8289b3767e4b64251e8949c9d56b61bf43a',
+    ("absorption", (5.0, 5.0, 20.0), 1.0, N, 8):
+        '29f2b54d1339e4a48a05dc0776ffe1810ad7b71fdc1ee4343a9b10395d8b72b1',
+    ("absorption", (1.0, 2.0, 1.0), 0.5, N, 7):
+        '174b3317310a5884c130dd3f28c2640817ba514925ff7b130154418d7dc175e0',
+    ("absorption", (1.0, 2.0, 1.0), 0.02, N, 8):
+        'c5ced68e9c5b538b5ccd56f0efe70e58e2e6a2a9cd3a0264941944194efe9e94',
+}
+
+
+def _run(engine, case, arg, n, rng):
+    p = ModelParams(*case)
+    if engine == "phases":
+        start = Boundary.ORIGIN if arg == "origin" else Boundary.LEVEL
+        return _run_phases(start, p, rng, n)
+    return _run_absorption(p, SwitchingProb(arg), rng, n)
+
+
+@pytest.mark.parametrize("key", list(STREAM_DIGESTS), ids=str)
+def test_engine_outputs_and_generator_position_are_pinned(key):
+    engine, case, arg, n, seed = key
+    rng = RandomSource(seed, 4)
+    out = _run(engine, case, arg, n, rng)
+    assert _digest((*out, rng.gen.random(8))) == STREAM_DIGESTS[key]
+
+
+BUFFERED_DIGEST = '0ad9d058739ee0f52bf5b085e2cf0fff54631ba831cc684cc14e365d3513ee71'
+
+
+def test_engine_keeps_a_buffered_half_word():
+    # a 32-bit draw before the run leaves half a 64-bit word buffered in
+    # the bit generator; the next 32-bit draws after the run must use it
+    rng = RandomSource(9, 5)
+    head = rng.gen.integers(2 ** 32, dtype=np.uint32)
+    out = _run_phases(Boundary.ORIGIN, ModelParams(5.0, 5.0, 20.0), rng, 64)
+    tail = rng.gen.integers(2 ** 32, size=8, dtype=np.uint32)
+    assert _digest((np.atleast_1d(head), *out, tail)) == BUFFERED_DIGEST
+
+
+def test_reversal_cap_bounds_every_round(monkeypatch):
+    key = ("phases", (5.0, 5.0, 20.0), "origin", 64, 7)
+    _, case, arg, n, seed = key
+    rounds = int(_run("phases", case, arg, n, RandomSource(seed, 4))[2].max()) + 1
+    for cap in (1, rounds // 2, rounds - 1):
+        monkeypatch.setattr(simulate, "_REVERSAL_CAP", cap)
+        with pytest.raises(ReversalCapExceeded):
+            _run("phases", case, arg, n, RandomSource(seed, 4))
+    for cap in (rounds, rounds + 9):
+        monkeypatch.setattr(simulate, "_REVERSAL_CAP", cap)
+        rng = RandomSource(seed, 4)
+        out = _run("phases", case, arg, n, rng)
+        assert _digest((*out, rng.gen.random(8))) == STREAM_DIGESTS[key]

@@ -70,6 +70,49 @@ def test_non_finite_omega_is_a_domain_error(omega):
         transform_from_H(omega, 2.0, P121)   # d >= H takes the shortcut
 
 
+@pytest.mark.parametrize("lam, mu, omega", [(1e200, 2e200, -1.0), (1e160, 2e160, -1e160),
+                                            (1e300, 1e300, -1e300)])
+def test_huge_rates_give_finite_roots_or_a_domain_error(lam, mu, omega):
+    # a square in the discriminant overflows float64 here
+    p = ModelParams(lam, mu, 1.0)
+    try:
+        rp = theta_roots(omega, p)
+    except DomainError:
+        pass
+    else:
+        assert math.isfinite(rp.theta1) and math.isfinite(rp.theta2)
+        assert rp.theta1 <= rp.theta2 < mu
+    for transform in (lambda: transform_from_origin(omega, p),
+                      lambda: transform_from_H(omega, 0.5, p)):
+        try:
+            values = transform()
+        except DomainError:
+            continue
+        assert all(math.isfinite(v) for v in values)
+
+
+def test_transform_beyond_float64_is_a_domain_error():
+    # omega close to its bound: the transforms pass 1e308, and math.exp
+    # raised a bare OverflowError
+    p = ModelParams(0.013957988465757694, 69.28886155513571, 22.58944267190863)
+    with pytest.raises(DomainError):
+        transform_from_origin(67.33596100228024, p)
+    with pytest.raises(DomainError):
+        transform_from_H(67.33596100228024, 11.3, p)
+
+
+def test_roots_at_huge_rates():
+    rp = theta_roots(-1.0, ModelParams(1e200, 2e200, 1.0))
+    assert (rp.theta1, rp.theta2) == (-2.0, 1e200)
+
+
+def test_roots_at_tiny_rates():
+    # mu*omega underflows float64 here; the roots are -/+ sqrt(2)*1e-200
+    rp = theta_roots(-1e-200, ModelParams(1e-200, 2e-200, 1.0))
+    assert rel(rp.theta1, -math.sqrt(2.0) * 1e-200) < 1e-15
+    assert rel(rp.theta2, math.sqrt(2.0) * 1e-200) < 1e-15
+
+
 def test_omega_of_theta_rejects_at_mu():
     with pytest.raises(DomainError):
         omega_of_theta(2.0, P121)
