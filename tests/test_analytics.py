@@ -28,6 +28,8 @@ from telegraph_box import (
 )
 from telegraph_box import _forms
 
+import _mp_oracle
+
 P121 = ModelParams(1.0, 2.0, 1.0)
 PEQ = ModelParams(0.5, 0.5, 10.0)
 P255 = ModelParams(2.0, 0.5, 5.0)
@@ -205,30 +207,27 @@ def test_tiny_rate_is_finite(lam, mu, h):
     assert pm.ph0 + pm.phh == pytest.approx(1.0, abs=1e-15)
 
 
-def _many_digits(monkeypatch):
-    # the same formulas at at least 400 digits and four times what the
-    # code picks: 400 cannot carry the third-order cancellation in
+def _many_digits(lam, mu, h):
+    # the oracle at at least 400 digits and four times what it picks on
+    # its own: 400 cannot carry the third-order cancellation in
     # (mu - lam)H at H = 1e-300, which takes about 900
-    picked = _forms._digits
-    monkeypatch.setattr(_forms, "_digits", lambda *a: max(400, 4 * picked(*a)))
+    return max(400, 4 * _mp_oracle.digits(lam, mu, h))
 
 
 @pytest.mark.parametrize("h", [1e-9, 1e-12, 1e-15, 1e-30, 1e-41, 1e-300])
-def test_asymmetric_forms_at_tiny_delta_match_many_digits(monkeypatch, h):
+def test_asymmetric_forms_at_tiny_delta_match_many_digits(h):
     # (mu - lam)H = h: far from the equal-rate band in the rates, deep in
     # the cancellation of the asymmetric forms
     got = vars(_forms.closed_values(1.0, 2.0, h))
-    _many_digits(monkeypatch)
-    want = vars(_forms.closed_values(1.0, 2.0, h))
+    want = _mp_oracle.closed_values(1.0, 2.0, h, dps=_many_digits(1.0, 2.0, h))
     for name, v in want.items():
         assert math.isclose(got[name], v, rel_tol=1e-12), name
 
 
 @pytest.mark.parametrize("h, d", [(1e-12, 5e-13), (1.0, 1e-12), (1e-300, 5e-301)])
-def test_conditional_means_at_tiny_delta_match_many_digits(monkeypatch, h, d):
+def test_conditional_means_at_tiny_delta_match_many_digits(h, d):
     got = _forms.conditional_means(1.0, 2.0, h, d)
-    _many_digits(monkeypatch)
-    want = _forms.conditional_means(1.0, 2.0, h, d)
+    want = _mp_oracle.conditional_means(1.0, 2.0, h, d, dps=_many_digits(1.0, 2.0, d))
     assert all(math.isclose(a, b, rel_tol=1e-12) for a, b in zip(got, want))
 
 
