@@ -13,8 +13,10 @@ keeps its precision at every delta, and nothing overflows past
 
 `_origin_row` gives the row of a phase from the origin.  The level row
 is the same function at swapped rates, by reflecting the box about H/2.
-The conditional means given a first descent d follow from the rows of
-the two boxes of heights d and H - d by a renewal argument.
+After a first descent d the phase renews between the two boxes of
+heights d and H - d (`_strip_and_box`); the conditional means sum that
+renewal here, and `mgf` takes the restricted transforms from the same
+rows at the tilted rates.
 
 Within EQUAL_BAND of the diagonal the equal-rate forms are used instead,
 evaluated at the midpoint rate.  The band is on the absolute |lam - mu|,
@@ -48,9 +50,11 @@ def is_equal_rate(lam: float, mu: float, h: float) -> bool:
     return abs(lam - mu) * max(1.0, h) < EQUAL_BAND
 
 
-@dataclass(frozen=True)
+@dataclass
 class ClosedValues:
-    """Every scalar closed form at one parameter point."""
+    """Every scalar closed form at one parameter point.  Not frozen: a
+    frozen one takes about seven times as long to build, as much as half
+    of a whole `closed_values` call."""
 
     p00: float
     p0h: float
@@ -196,6 +200,31 @@ def conditional_hit(lam: float, mu: float, h: float, d: float) -> float:
     return lam * math.expm1(dd * d) / (dd + mu * math.expm1(dd * h))
 
 
+def _strip_and_box(lam: float, mu: float, h: float,
+                   d: float) -> tuple[tuple[float, ...], ...]:
+    """The renewal of a phase from the level after a first descent d < H.
+
+    The phase turns up at a = H - d.  From there it alternates between
+    the strip [a, H], entered from below (the origin row of height d),
+    and the box [0, a], entered from above (the level row of height a),
+    until one of them ends at its far edge.  Returns (kd, strip, ka, box,
+    q): the kernels of |mu - lam| at d and at a, the two rows as
+    `_origin_row` gives them with damp=False, and q = 1 - p00*phh, the
+    chance that a round trip ends.  The side that climbs against the
+    drift carries e^{-|delta|}: the strip (p0h, t0h) when lam > mu, the
+    box (ph0, th0) when lam < mu.  The rows leave that factor out, since
+    alone it can underflow where the sums it enters do not; q has it in."""
+    gap = abs(mu - lam)
+    kd, ka = _kernels(gap, d), _kernels(gap, h - d)
+    strip = _origin_row(lam, mu, d, kd, damp=False)
+    box = _origin_row(mu, lam, h - d, ka, damp=False)
+    if lam > mu:
+        q = _damped(strip[1], *kd[:2]) + strip[0] * box[1]
+    else:
+        q = strip[1] + strip[0] * _damped(box[1], *ka[:2])
+    return kd, strip, ka, box, q
+
+
 def conditional_means(lam: float, mu: float, h: float, d: float) -> tuple[float, float]:
     """Restricted means of the from-H stopping times given descent d < H.
 
@@ -206,26 +235,11 @@ def conditional_means(lam: float, mu: float, h: float, d: float) -> tuple[float,
         raise DegenerateRates(
             f"conditional means need distinct rates; |lam-mu|*max(1,H) < {EQUAL_BAND}"
         )
-    # The phase turns up at a = H - d.  From there it alternates between
-    # the strip [a, H], entered from below (the origin row of height d),
-    # and the box [0, a], entered from above (the level row of height a),
-    # until one of them ends at its far edge; MHH and MH0 sum the
-    # geometric series of round trips.
-    gap, a = abs(mu - lam), h - d
-    kd, ka = _kernels(gap, d), _kernels(gap, a)
-    p00, p0h, t00, t0h = _origin_row(lam, mu, d, kd, damp=False)[:4]
-    phh, ph0, thh, _, _, _, _, th0 = _origin_row(mu, lam, a, ka, damp=False)
-    # The side that climbs against the drift carries e^{-|delta|}: the
-    # strip (p0h, t0h, hence MHH) when lam > mu, the box (ph0, th0, hence
-    # MH0) when lam < mu.  The rows leave it out and it is taken once at
-    # the end, since alone it can underflow where the means do not.
+    # MHH and MH0 sum the geometric series of round trips of
+    # `_strip_and_box`; trip is the restricted mean up time of one
+    kd, (p00, p0h, t00, t0h, *_), ka, box, q = _strip_and_box(lam, mu, h, d)
+    phh, ph0, thh, th0 = box[0], box[1], box[2], box[7]
     e, k = (kd if lam > mu else ka)[:2]
-    if lam > mu:
-        q = _damped(p0h, e, k) + p00 * ph0
-    else:
-        q = p0h + p00 * _damped(ph0, e, k)
-    # q = 1 - p00*phh, summed without cancelling; trip is the restricted
-    # mean up time of one round trip
     trip = t00 * phh + p00 * thh
     mhh = (trip * p0h / q + t0h) / q
     mh0 = (trip * p00 * ph0 / q + t00 * ph0 + p00 * th0) / q

@@ -8,6 +8,12 @@ into a pair of two-by-two linear systems.  This module exposes the
 frequency map omega(theta), its root pair, the resulting restricted
 transforms, and the per-descent conditional laws for phases started at
 the upper boundary.
+
+Tilting by that martingale at the roots theta1 <= theta2 gives the same
+box again, at rates lam' = lam*mu/(mu - theta1) and mu' = mu - theta1
+with gap theta2 - theta1.  So each transform is a phase probability of
+the tilted box, from the rows of `_forms`, times an exponential factor;
+as the roots merge at the bound the rows pass through gap 0.
 """
 
 from __future__ import annotations
@@ -19,11 +25,6 @@ from dataclasses import dataclass
 from . import _forms
 from .core import ModelParams
 from .errors import DomainError
-
-# below this spread (scaled by the level) the two roots are treated as
-# coincident and the confluent limit forms take over
-_ROOT_MERGE = 1e-8
-
 
 @dataclass(frozen=True)
 class RootPair:
@@ -105,31 +106,34 @@ def theta_roots(omega: float, p: ModelParams) -> RootPair:
     return RootPair(t1, t2, omega)
 
 
+def _tilted(omega: float, p: ModelParams) -> tuple[float, float, float, float]:
+    """(theta1, theta2, lam', mu') of the box tilted at omega.  lam' is
+    lam*(mu/mu'), not mu - theta2, which cancels as omega goes to -inf,
+    nor lam*mu/mu', whose product can overflow; it is held at most mu'
+    against rounding at the double root."""
+    rp = theta_roots(omega, p)
+    hi = p.mu - rp.theta1
+    return rp.theta1, rp.theta2, min(p.lam * (p.mu / hi), hi), hi
+
+
 @_float64("transforms from the origin")
 def transform_from_origin(omega: float, p: ModelParams) -> tuple[float, float]:
     """Restricted transforms (F00, F0H) of a phase started at the origin.
 
     F00 averages exp(omega*T) over phases that return to the origin,
     F0H over phases that reach the level first; at omega=0 the pair is
-    exactly the phase-probability row (P00, P0H).
+    exactly the phase-probability row (P00, P0H).  Otherwise
+    F00 = (mu'/mu) p00' and F0H = e^{theta1 H} p0h' in the tilted box,
+    with (mu'/mu) p00' = lam*H*phi1*p0h', since p00' alone can underflow.
     """
     lam, mu, h = p.lam, p.mu, p.effective_level
     if omega == 0.0:
         cv = _forms.closed_values(lam, mu, h)
         return cv.p00, cv.p0h
-    rp = theta_roots(omega, p)
-    t1, t2 = rp.theta1, rp.theta2
-    delta = t2 - t1
-    if delta * max(1.0, h) < _ROOT_MERGE:
-        ts = 0.5 * (t1 + t2)
-        g = mu - ts
-        scale = 1.0 + h * g
-        return h * g * g / (mu * scale), math.exp(h * ts) / scale
-    emd = math.expm1(-h * delta)
-    den = (mu - t1) - (mu - t2) * (emd + 1.0)  # same-sign terms, no blowup
-    f00 = -emd * (mu - t1) * (mu - t2) / (mu * den)
-    f0h = delta * math.exp(h * t1) / den
-    return f00, f0h
+    t1, _, lo, hi = _tilted(omega, p)
+    ker = _forms._kernels(hi - lo, h)
+    p0h = _forms._origin_row(lo, hi, h, ker)[1]
+    return lam * (ker[3] * p0h), math.exp(t1 * h) * p0h
 
 
 @_float64("transforms from the level")
@@ -140,7 +144,9 @@ def transform_from_H(omega: float, d: float, p: ModelParams) -> tuple[float, flo
     At omega=0 returns the conditional outcome probabilities
     (1 - P_hit, P_hit).  A descent d >= H reaches the origin outright in
     dual time zero, so the pair degenerates to (0, 1) for every finite
-    omega.
+    omega.  Otherwise, with q = p0h'(d) + p00'(d) ph0'(H - d) from the
+    strip-d/box-(H-d) renewal in the tilted box, FHH = e^{theta1 d}
+    p0h'(d)/q and FH0 = (mu'/mu) p00'(d) e^{-theta1 (H-d)} ph0'(H-d)/q.
     """
     lam, mu, h = p.lam, p.mu, p.effective_level
     if d < 0.0 or not math.isfinite(d):
@@ -152,22 +158,11 @@ def transform_from_H(omega: float, d: float, p: ModelParams) -> tuple[float, flo
     if omega == 0.0:
         ph = _forms.conditional_hit(lam, mu, h, d)
         return 1.0 - ph, ph
-    rp = theta_roots(omega, p)
-    t1, t2 = rp.theta1, rp.theta2
-    delta = t2 - t1
-    a = h - d
-    if delta * max(1.0, h) < _ROOT_MERGE:
-        ts = 0.5 * (t1 + t2)
-        g = mu - ts
-        scale = 1.0 + h * g
-        fhh = math.exp(ts * d) * (1.0 + a * g) / scale
-        fh0 = d * g * g * math.exp(-ts * a) / (mu * scale)
-        return fhh, fh0
-    fhh = (math.exp(t1 * d) * ((mu - t2) * math.expm1(-delta * a) - delta)
-           / ((mu - t2) * math.expm1(-delta * h) - delta))
-    fh0 = (-math.expm1(-delta * d) * (mu - t1) * (mu - t2) * math.exp(-t2 * a)
-           / (mu * (delta - (mu - t2) * math.expm1(-delta * h))))
-    return fhh, fh0
+    t1, t2, lo, hi = _tilted(omega, p)
+    kd, (_, p0h, *_), _, box, q = _forms._strip_and_box(lo, hi, h, d)
+    # box[1] is ph0' without its e^{-(theta2 - theta1)(H - d)}
+    return (math.exp(t1 * d) * p0h / q,
+            lam * (kd[3] * p0h) * box[1] * math.exp(-t2 * (h - d)) / q)
 
 
 def conditional_hit_prob(d: float, p: ModelParams) -> float:

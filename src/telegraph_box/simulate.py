@@ -10,10 +10,8 @@ throughput and feed the estimation layer.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import IO, Iterable
 
 import numpy as np
 
@@ -208,16 +206,6 @@ def dual_representation_check(ph: PhaseRecord, p: ModelParams) -> DualCheck:
     if residual >= _DUAL_TOL * max(1.0, ph.duration):
         raise IdentityViolation(residual, "duration identity broken")
     return DualCheck(t_stop=t_stop, identity_residual=residual)
-
-
-def path_dump_csv(paths: Iterable[PathRecord], out: IO[str]) -> None:
-    """Write one row per phase: path_id,phase_index,start,end,duration,n_switches."""
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(["path_id", "phase_index", "start", "end", "duration", "n_switches"])
-    for pid, path in enumerate(paths):
-        for k, ph in enumerate(path.phases):
-            w.writerow([pid, k, ph.start.value, ph.end.value,
-                        f"{ph.duration:.12g}", ph.n_switches])
 
 
 # ---------------------------------------------------------------------------

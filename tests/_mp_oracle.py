@@ -1,16 +1,20 @@
-"""Extended-precision oracle for the rate-asymmetric closed forms.
+"""Extended-precision oracle for the rate-asymmetric closed forms and
+the restricted transforms.
 
-The formulas are the direct renewal identities, with shared denominators
-in (lam - mu) whose numerators cancel to third order in
+The closed forms are the direct renewal identities, with shared
+denominators in (lam - mu) whose numerators cancel to third order in
 delta = (mu - lam)H as the rates approach each other.  They are evaluated
 in mpmath at 20 digits beyond what that cancellation costs (never fewer
-than 40) and rounded once at the end.  This is the only module that
+than 40) and rounded once at the end.  The transforms are the expm1
+forms over the roots theta1 <= theta2, whose differences cancel as the
+roots merge and as theta2 nears mu.  This is the only module that
 imports mpmath; the library evaluates the same quantities in float64.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 
@@ -92,3 +96,77 @@ def conditional_means(lam: float, mu: float, h: float, d: float,
         mh0 = lm * (D * (m_ + lm * ED) * (m_ * E - lm)
                     + (1 - ED) * (lm + lm * m_ * H + E * (1 + lm * H) * m_)) / den
         return float(mhh), float(mh0)
+
+
+def _decades(log10: float) -> int:
+    return max(0, math.ceil(log10))
+
+
+def transform_digits(lam: float, mu: float, h: float, omega: float) -> int:
+    """Working precision for the transforms, growing with the rate scale
+    s = lam + mu + |omega|.  The discriminant (theta2 - theta1)^2 cancels
+    from terms of size s^2, and the differences of the roots and of mu
+    and the roots cost up to log10(s/(theta2 - theta1)) and log10(s/lam)
+    digits more; exp(theta1*H) needs log10(s*H) digits for its argument.
+    The discriminant is taken exactly, in rationals; log10 of each factor,
+    because their products can overflow."""
+    lf, mf, wf = Fraction(lam), Fraction(mu), Fraction(omega)
+    disc = wf * wf - 2 * (lf + mf) * wf + (lf - mf) ** 2
+    s = lam + mu + abs(omega)
+    ratio = Fraction(s) ** 2 / disc if disc > 0 else Fraction(1)
+    merge = (ratio.numerator.bit_length() - ratio.denominator.bit_length() + 1) * math.log10(2)
+    return (DPS + 2 * _decades(merge) + _decades(math.log10(s) - math.log10(lam))
+            + _decades(math.log10(s) + math.log10(h)))
+
+
+def _roots(lm, m_, w):
+    # theta^2 + theta*(lam - mu - omega) + mu*omega = 0, larger-magnitude
+    # root first, the other from the product
+    b = lm - m_ - w
+    disc = w * w - 2 * (lm + m_) * w + (lm - m_) ** 2
+    if disc < 0:
+        raise ValueError("omega is above its bound, the roots are complex")
+    q = -(b + mp.sign(b) * mp.sqrt(disc)) / 2 if b else mp.sqrt(-m_ * w)
+    other = m_ * w / q if q else mp.mpf(0)
+    return (q, other) if q <= other else (other, q)
+
+
+def transform_from_origin(lam: float, mu: float, h: float, omega: float,
+                          dps: int | None = None) -> tuple[float, float]:
+    """(F00, F0H) at omega != 0 and omega up to the bound."""
+    with mp.workdps(dps or transform_digits(lam, mu, h, omega)):
+        mu, h = mp.mpf(mu), mp.mpf(h)
+        t1, t2 = _roots(mp.mpf(lam), mu, mp.mpf(omega))
+        delta = t2 - t1
+        if not delta:
+            ts = 0.5 * (t1 + t2)
+            g = mu - ts
+            scale = 1 + h * g
+            return float(h * g * g / (mu * scale)), float(mp.exp(h * ts) / scale)
+        emd = mp.expm1(-h * delta)
+        den = (mu - t1) - (mu - t2) * (emd + 1)
+        f00 = -emd * (mu - t1) * (mu - t2) / (mu * den)
+        f0h = delta * mp.exp(h * t1) / den
+        return float(f00), float(f0h)
+
+
+def transform_from_H(lam: float, mu: float, h: float, omega: float, d: float,
+                     dps: int | None = None) -> tuple[float, float]:
+    """(FHH, FH0) given a first descent 0 <= d < H, omega != 0."""
+    with mp.workdps(dps or transform_digits(lam, mu, h, omega)):
+        mu, h, d = mp.mpf(mu), mp.mpf(h), mp.mpf(d)
+        t1, t2 = _roots(mp.mpf(lam), mu, mp.mpf(omega))
+        delta = t2 - t1
+        a = h - d
+        if not delta:
+            ts = 0.5 * (t1 + t2)
+            g = mu - ts
+            scale = 1 + h * g
+            fhh = mp.exp(ts * d) * (1 + a * g) / scale
+            fh0 = d * g * g * mp.exp(-ts * a) / (mu * scale)
+            return float(fhh), float(fh0)
+        fhh = (mp.exp(t1 * d) * ((mu - t2) * mp.expm1(-delta * a) - delta)
+               / ((mu - t2) * mp.expm1(-delta * h) - delta))
+        fh0 = (-mp.expm1(-delta * d) * (mu - t1) * (mu - t2) * mp.exp(-t2 * a)
+               / (mu * (delta - (mu - t2) * mp.expm1(-delta * h))))
+        return float(fhh), float(fh0)

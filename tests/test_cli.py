@@ -206,13 +206,16 @@ def test_analytics_at_tiny_asymmetric_level(capsys, h):
                    for v in group.values())
 
 
-def test_mgf_at_huge_rates_is_parameter_error(capsys):
-    code, out, err = run_capture(capsys, [
+def test_mgf_at_huge_rates_gives_the_tilted_values(capsys):
+    # the tilted box has rates (1e200, 2e200) again and theta1 = -2, so
+    # F00 = P00 = 1/2 and F0H = e^{-2}/2; lam*mu overflows on the way
+    code, out, _ = run_capture(capsys, [
         "mgf", "--lambda", "1e200", "--mu", "2e200", "--h", "1", "--omega=-1",
         "--format", "json"])
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["f00"] == 0.5
+    assert doc["f0h"] == float(f"{math.exp(-2.0) / 2.0:.12g}")
 
 
 def test_tables_print_twelve_digits(capsys):

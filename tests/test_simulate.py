@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import math
 
 import numpy as np
@@ -18,7 +17,6 @@ from telegraph_box import (
     RandomSource,
     SwitchingProb,
     dual_representation_check,
-    path_dump_csv,
     simulate_phase,
     simulate_until_absorption,
 )
@@ -137,20 +135,6 @@ def test_absorption_respects_phase_budget():
     with pytest.raises(MaxPhasesExceeded):
         simulate_until_absorption(P121, SwitchingProb(1e-9), RandomSource(0, 0),
                                   max_phases=5)
-
-
-def test_path_dump_csv_layout():
-    rng = RandomSource(9, 0)
-    paths = [simulate_until_absorption(P121, SwitchingProb(0.5), rng)
-             for _ in range(4)]
-    buf = io.StringIO()
-    path_dump_csv(paths, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "path_id,phase_index,start,end,duration,n_switches"
-    assert len(lines) == 1 + sum(p.m for p in paths)
-    first = lines[1].split(",")
-    assert first[0] == "0" and first[1] == "0" and first[2] == "origin"
-    assert float(first[4]) > 0.0
 
 
 def test_vector_phases_deterministic_and_consistent():
