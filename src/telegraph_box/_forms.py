@@ -18,11 +18,14 @@ heights d and H - d (`_strip_and_box`); the conditional means sum that
 renewal here, and `mgf` takes the restricted transforms from the same
 rows at the tilted rates.
 
-Within EQUAL_BAND of the diagonal the equal-rate forms are used instead,
-evaluated at the midpoint rate.  The band is on the absolute |lam - mu|,
-so the midpoint value is off by up to 4.2e-7 relative, measured at
-(lam, mu, H) = (0.011676404690670533, 0.011676414599072725,
-0.11542004601063696), and by 5.0e-10 at (1, 1.000000001, 1).
+One set of forms serves every rate pair: at lam = mu the rows give the
+equal-rate corollary of the paper, within 2e-15 of its polynomial.
+Within EQUAL_BAND of the diagonal `closed_values` still evaluates them at
+the midpoint rate, the one value the benchmark anchors freeze there.
+The band is on the absolute |lam - mu|, so the midpoint value is off by
+up to 4.2e-7 relative, measured at (lam, mu, H) = (0.011676404690670533,
+0.011676414599072725, 0.11542004601063696), and by 5.0e-10 at
+(1, 1.000000001, 1).  `conditional_means` has no band.
 """
 
 from __future__ import annotations
@@ -31,10 +34,10 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import DegenerateRates, DomainError
+from .errors import DomainError
 
-# |lam - mu| * max(1, H) below this means "rates are equal" for formula
-# selection; the equal-rate closed forms take over.
+# |lam - mu| * max(1, H) below this means "rates are equal": closed_values
+# evaluates at the midpoint rate, and conditional_hit at its limit.
 EQUAL_BAND = 1e-8
 
 # phi_3(-e) = sum_j (-e)^j/(j+3)! below _SERIES_MAX, Horner order: the
@@ -74,24 +77,6 @@ class ClosedValues:
     kappa0h: float
     kappah0: float
     kappahh: float
-
-
-def _closed_values_equal(r: float, h: float) -> tuple[float, ...]:
-    # equal-rate corollary forms in x = r*H, written over the bounded
-    # p0h = 1/(1+x) and p00 = x/(1+x) so no power of x or H can overflow
-    # on its own; float64 is exact to rounding here (no cancellation)
-    x = r * h
-    p0h = 1.0 / (1.0 + x)
-    p00 = x / (1.0 + x)
-    t0h = h * (p0h + p00 * p00 / 6.0)
-    t00 = h * p00 * (2.0 + p0h) / 6.0
-    th0 = h * p00 * p00 / 6.0
-    m00 = 2.0 * t00
-    m0h = h * (p0h + p00 * p00 / 3.0)
-    k00 = h * (2.0 + p0h) / 3.0          # m00 / p00
-    k0h = h * (1.0 + x * p00 / 3.0)      # m0h / p0h
-    return (p00, p0h, p0h, p00, t00, t0h, t00, th0,
-            m00, m0h, m0h, m00, k00, k0h, k0h, k00)
 
 
 def _kernels(gap: float, h: float) -> tuple[float, ...]:
@@ -175,10 +160,11 @@ def _closed_values_asym(lam: float, mu: float, h: float) -> tuple[float, ...]:
 
 def closed_values(lam: float, mu: float, h: float) -> ClosedValues:
     """All closed forms at (lam, mu, H); DomainError if one is not finite."""
-    if is_equal_rate(lam, mu, h):
-        vals = _closed_values_equal(0.5 * (lam + mu), h)
-    else:
-        vals = _closed_values_asym(lam, mu, h)
+    # the band moves the point onto the diagonal, where the same rows give
+    # the equal-rate corollary; perfbench freezes values taken there
+    r = 0.5 * (lam + mu)
+    at = (r, r) if is_equal_rate(lam, mu, h) else (lam, mu)
+    vals = _closed_values_asym(*at, h)
     if not all(map(math.isfinite, vals)):
         raise DomainError(f"closed forms at lam={lam!r}, mu={mu!r}, H={h!r} "
                           "are not finite in float64")
@@ -228,13 +214,8 @@ def _strip_and_box(lam: float, mu: float, h: float,
 def conditional_means(lam: float, mu: float, h: float, d: float) -> tuple[float, float]:
     """Restricted means of the from-H stopping times given descent d < H.
 
-    Returns (MHH, MH0).  Inside EQUAL_BAND it raises DegenerateRates, as
-    `mgf.conditional_cycle_means` documents.
+    Returns (MHH, MH0), at lam = mu too: the rows pass through gap 0.
     """
-    if is_equal_rate(lam, mu, h):
-        raise DegenerateRates(
-            f"conditional means need distinct rates; |lam-mu|*max(1,H) < {EQUAL_BAND}"
-        )
     # MHH and MH0 sum the geometric series of round trips of
     # `_strip_and_box`; trip is the restricted mean up time of one
     kd, (p00, p0h, t00, t0h, *_), ka, box, q = _strip_and_box(lam, mu, h, d)

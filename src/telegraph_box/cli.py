@@ -183,7 +183,7 @@ def run(argv: list[str] | None = None) -> int:
     """Parse argv and execute; returns the process exit code.
 
     0 on success (validate: all gates passed), 1 when validation fails,
-    2 on usage or parameter errors.
+    2 on usage or parameter errors and when --output cannot be written.
     """
     ap = _build_parser()
     try:
@@ -197,8 +197,12 @@ def run(argv: list[str] | None = None) -> int:
         return 2
     out_path = getattr(ns, "output", None)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as err:
+            print(f"error: cannot write --output: {err}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

@@ -28,10 +28,6 @@ class DomainError(TelegraphBoxError):
     """Argument outside the admissible domain of a transform or root map."""
 
 
-class DegenerateRates(TelegraphBoxError):
-    """Rates too close to equal for a formula that requires lambda != mu."""
-
-
 class InvalidIndex(TelegraphBoxError):
     """Index argument outside its allowed range."""
 

@@ -179,8 +179,8 @@ def conditional_cycle_means(d: float, p: ModelParams) -> tuple[float, float]:
 
     MHH averages the dual stopping time over phases that return to the
     level, MH0 over phases that reach the origin; the corresponding
-    phase durations follow as 2*MHH and 2*MH0 + H*P_hit.  Requires
-    clearly distinct rates (DegenerateRates otherwise).
+    phase durations follow as 2*MHH and 2*MH0 + H*P_hit.  Defined at
+    every rate pair, through lam = mu.
     """
     h = p.effective_level
     if not 0.0 <= d < h:

@@ -246,6 +246,18 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert "absorption" in doc
 
 
+def test_unwritable_output_is_parameter_error(tmp_path, capsys):
+    # exit 1 means a failed validation; a path that cannot be written is 2
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_capture(capsys, [
+        "analytics", "--lambda", "1", "--mu", "2", "--h", "1",
+        "--alpha", "0.5", "--output", str(target)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not target.exists()
+
+
 def test_threads_default_reads_environment(monkeypatch):
     monkeypatch.setenv("TELEGRAPH_BOX_THREADS", "5")
     assert cli._threads_default() == 5

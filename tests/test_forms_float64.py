@@ -59,6 +59,43 @@ def test_conditional_means_match_the_oracle(decade):
             assert all(map(_close, got, want)), (lam, mu, h, f, got, want)
 
 
+def _band_points():
+    # (lam, mu, H) inside the equal-rate band, with |delta| from 1e-15 to
+    # 1e-9 and min(lam, mu)H from 1e-3 to 1e3, in both rate orders; x is
+    # kept below delta*2^40, so the float rates hold delta to ten bits
+    for delta in 10.0 ** np.arange(-15.0, -8.5, 1.0):
+        for x in 10.0 ** np.arange(-3.0, 3.5, 1.0):
+            if x > delta * 2.0 ** 40:
+                continue
+            for h in (1.0, 30.0):
+                lam, mu = x / h, (x + delta) / h
+                assert _forms.is_equal_rate(lam, mu, h)
+                yield lam, mu, h
+                yield mu, lam, h
+
+
+def test_conditional_means_in_the_band_match_the_oracle():
+    # conditional_means has no band: it is evaluated at the rates given
+    for lam, mu, h in _band_points():
+        for f in DESCENTS[:2]:
+            got = _forms.conditional_means(lam, mu, h, f * h)
+            want = _mp_oracle.conditional_means(lam, mu, h, f * h)
+            assert all(map(_close, got, want)), (lam, mu, h, f, got, want)
+
+
+def test_conditional_means_at_equal_rates_match_the_oracle():
+    # lam = mu exactly, against the oracle at mu = lam(1 + 2^-46): the
+    # limit differs from that by about lam*H*2^-46, below 2e-13 here
+    for lam in 10.0 ** np.arange(-3.0, 3.5, 0.5):
+        for h in 10.0 ** np.arange(-3.0, 3.5, 0.5):
+            if lam * h > 10.0:
+                continue
+            for f in DESCENTS[:2]:
+                got = _forms.conditional_means(lam, lam, h, f * h)
+                want = _mp_oracle.conditional_means(lam, lam * (1.0 + 2.0 ** -46), h, f * h)
+                assert all(map(_close, got, want)), (lam, h, f, got, want)
+
+
 @pytest.mark.parametrize("lam, mu, h", [(100.0, 0.01, 31.6), (0.1, 20.0, 30.0),
                                         (1e3, 0.5, 10.0), (7.31e-15, 1e-17, 1e17),
                                         (1.0, 1e200, 1.0), (1e200, 3e200, 1.0),

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from telegraph_box import (
-    DegenerateRates,
     DomainError,
     ModelParams,
     conditional_cycle_means,
@@ -273,8 +272,10 @@ def test_conditional_cycle_means_domain():
         conditional_cycle_means(-0.2, P121)
     with pytest.raises(DomainError):
         conditional_cycle_means(1.0, P121)
-    with pytest.raises(DegenerateRates):
-        conditional_cycle_means(0.5, ModelParams(1.0, 1.0, 1.0))
+    # defined through lam = mu: the equal-rate limit at (1, 1, 1), d = 0.5
+    mhh, mh0 = conditional_cycle_means(0.5, ModelParams(1.0, 1.0, 1.0))
+    assert rel(mhh, 41.0 / 96.0) < 1e-14
+    assert rel(mh0, 7.0 / 96.0) < 1e-14
 
 
 def test_wald_statistic_values_and_domain():
