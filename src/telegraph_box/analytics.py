@@ -9,11 +9,12 @@ Bernoulli(alpha) boundary switching.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from . import _forms
 from .core import Boundary, ModelParams, SwitchingProb
-from .errors import InvalidIndex
+from .errors import DomainError, InvalidIndex
 
 
 @dataclass(frozen=True)
@@ -175,8 +176,13 @@ def _absorption(cv: _forms.ClosedValues, alpha: float) -> AbsorptionReport:
         eta = l1
     else:
         ssum = cv.p0h + cv.ph0
-        eta = ((l1 * cv.ph0 + l1s * cv.p0h) / (alpha * ssum)
-               + cv.p0h * (l1 - l1s) / (ssum * (1.0 - (1.0 - alpha) * vart)))
+        try:
+            eta = ((l1 * cv.ph0 + l1s * cv.p0h) / (alpha * ssum)
+                   + cv.p0h * (l1 - l1s) / (ssum * (1.0 - (1.0 - alpha) * vart)))
+        except ZeroDivisionError:   # a denominator underflowed: 1/alpha is past float64
+            eta = math.inf
+    if not math.isfinite(eta):
+        raise DomainError(f"expected absorption time at alpha={alpha!r} is past float64")
     return AbsorptionReport(l1, l1s, vart, eta)
 
 
@@ -186,6 +192,7 @@ def expected_absorption_time(p: ModelParams, s: SwitchingProb) -> AbsorptionRepo
     The number of phases is Geometric(alpha), so the mean is
     alpha * sum_n L_n (1-alpha)^(n-1); the geometric structure of the
     phase chain collapses the series to two terms.  alpha = 1 returns
-    exactly the single-phase mean l1.
+    exactly the single-phase mean l1.  Raises DomainError where the mean
+    is past float64.
     """
     return _absorption(_closed_values(p), s.alpha)

@@ -79,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(cmd=_cmd_mgf)
     _add_model_flags(sp, with_alpha=False)
     sp.add_argument("--omega", type=float, required=True,
-                    help="transform argument")
+                    help="transform argument (a negative in exponent form: --omega=-1e-3)")
     sp.add_argument("--d", type=float, default=None,
                     help="first descent duration for the level-start pair")
     _add_output_flags(sp)

@@ -64,7 +64,8 @@ def _float64(what: str):
 
 def omega_bound(p: ModelParams) -> float:
     """Largest admissible transform argument, (sqrt(lam) - sqrt(mu))^2."""
-    return (math.sqrt(p.lam) - math.sqrt(p.mu)) ** 2
+    d = (p.lam - p.mu) / (math.sqrt(p.lam) + math.sqrt(p.mu))   # does not cancel
+    return d * d
 
 
 def omega_of_theta(theta: float, p: ModelParams) -> float:
@@ -77,30 +78,27 @@ def omega_of_theta(theta: float, p: ModelParams) -> float:
 def theta_roots(omega: float, p: ModelParams) -> RootPair:
     """Solve the exponent quadratic for a given frequency.
 
-    Stable form: the larger-magnitude root avoids cancellation, the other
-    follows from the product mu*omega.  Raises DomainError when omega is
-    not finite or exceeds omega_bound (complex roots).
+    Stable form at every scale: the larger-magnitude root avoids
+    cancellation, the other follows from the product mu*omega.  Raises
+    DomainError when omega is not finite or exceeds omega_bound (complex
+    roots).
     """
     lam, mu = p.lam, p.mu
-    if not (math.isfinite(omega) and omega <= omega_bound(p)):
+    bound = omega_bound(p)
+    if not (math.isfinite(omega) and omega <= bound):
         raise DomainError(
             f"omega={omega} must be finite and at most the admissible "
-            f"bound {omega_bound(p)}"
+            f"bound {bound}"
         )
-    # past about 2**500 a square overflows (or underflows below 2**-500),
-    # so there the quadratic is solved in units of a power of two near the
-    # largest input, an exact scaling; in range the unit is 1
-    e = math.frexp(max(lam, mu, abs(omega)))[1]
-    unit = math.ldexp(1.0, e) if abs(e) > 500 else 1.0
-    ls, ms, ws = lam / unit, mu / unit, omega / unit
-    b = ls - ms - ws
-    c = ms * ws
-    disc = ws * ws - 2.0 * (ls + ms) * ws + (ls - ms) ** 2
-    if disc < 0.0:
-        disc = 0.0  # roundoff at the boundary, roots coincide there
-    q = -(b + math.copysign(math.sqrt(disc), b)) / 2.0
-    other = c / q if q != 0.0 else 0.0
-    t1, t2 = (q * unit, other * unit) if q <= other else (other * unit, q * unit)
+    # in a = bound - omega >= 0, half the linear coefficient is
+    # sign(lam - mu)*sqrt(mu*bound) + a/2 and a quarter of the discriminant
+    # a*(a/4 + sqrt(lam*mu)): nothing is squared, and only a cancels
+    a = bound - omega
+    half_b = math.copysign(math.sqrt(mu) * math.sqrt(bound), lam - mu) + a / 2.0
+    q = -(half_b + math.copysign(
+        math.sqrt(a) * math.sqrt(a / 4.0 + math.sqrt(lam) * math.sqrt(mu)), half_b))
+    other = (mu * (omega / q) if abs(omega) >= mu else omega * (mu / q)) if q else 0.0
+    t1, t2 = (q, other) if q <= other else (other, q)
     if not (math.isfinite(t1) and math.isfinite(t2)):
         raise _not_finite("roots", omega, p)
     return RootPair(t1, t2, omega)

@@ -178,12 +178,13 @@ def validate(p: ModelParams, s: SwitchingProb, n_paths: int, seed: int,
 
     One record per quantity; overall_pass is true iff every |z| <= z_max.
     A zero standard error yields z = 0 only on exact agreement.  Raises
-    DomainError unless z_max is finite and positive.
+    DomainError unless z_max is finite and positive, and before simulating
+    where a closed form is past float64.
     """
     if not (math.isfinite(z_max) and z_max > 0.0):
         raise DomainError(f"z_max must be finite and > 0, got {z_max!r}")
-    mom = _gather(p, s, n_paths, seed, threads)
     analytic = _analytic_values(p, s)
+    mom = _gather(p, s, n_paths, seed, threads)
     records = []
     for name, row in zip(_QUANTITIES, mom):
         mean, se = _mean_se(row)

@@ -146,35 +146,28 @@ def simulate_until_absorption(p: ModelParams, s: SwitchingProb, rng: RandomSourc
     raise MaxPhasesExceeded(max_phases)
 
 
-def _dual_scan_from_origin(ups, downs, h):
-    """First boundary crossing of the dual walk for an origin-start phase.
+def _dual_scan(start, ups, downs, h):
+    """First boundary crossing of the dual walk of a phase, from its raw draws.
 
-    Returns (end, t_stop, duration) computed only from the raw draws:
-    cumulative up time plays the role of the dual clock, cumulative down
-    time is the jump process.
+    Returns (end, t_stop, duration, n_ups, n_downs), or None if the draws
+    run out first.  The cumulative time away from the start boundary, c1,
+    plays the role of the dual clock and the time back toward it, c2, the
+    jump process: a level start is an origin start with ups and downs
+    exchanged, except that only an origin start's crossing adds H to t_stop.
     """
-    cu = cd = 0.0
-    for j, u in enumerate(ups):
-        cu += u
-        if cu - cd >= h:
-            return Boundary.LEVEL, cd + h, 2.0 * cd + h, j + 1, j
-        if j < len(downs):
-            cd += downs[j]
-            if cd >= cu:
-                return Boundary.ORIGIN, cu, 2.0 * cu, j + 1, j + 1
-    return None
-
-
-def _dual_scan_from_level(ups, downs, h):
-    cu = cd = 0.0
-    for j, d in enumerate(downs):
-        cd += d
-        if cd - cu >= h:
-            return Boundary.ORIGIN, cu, 2.0 * cu + h, j, j + 1
-        if j < len(ups):
-            cu += ups[j]
-            if cu >= cd:
-                return Boundary.LEVEL, cd, 2.0 * cd, j + 1, j + 1
+    origin = start is Boundary.ORIGIN
+    away, back = (ups, downs) if origin else (downs, ups)
+    c1 = c2 = 0.0
+    for j, x in enumerate(away):
+        c1 += x
+        if c1 - c2 >= h:
+            far = Boundary.LEVEL if origin else Boundary.ORIGIN
+            return (far, c2 + h if origin else c2, 2.0 * c2 + h,
+                    *((j + 1, j) if origin else (j, j + 1)))
+        if j < len(back):
+            c2 += back[j]
+            if c2 >= c1:
+                return start, c1, 2.0 * c1, j + 1, j + 1
     return None
 
 
@@ -189,8 +182,7 @@ def dual_representation_check(ph: PhaseRecord, p: ModelParams) -> DualCheck:
     a violation means the simulator itself is wrong.
     """
     h = p.effective_level
-    scan = (_dual_scan_from_origin if ph.start is Boundary.ORIGIN
-            else _dual_scan_from_level)(ph.ups, ph.downs, h)
+    scan = _dual_scan(ph.start, ph.ups, ph.downs, h)
     if scan is None:
         raise IdentityViolation(float("nan"), "dual walk never crossed a boundary")
     end, t_stop, c_dual, n_ups, n_downs = scan

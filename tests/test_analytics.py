@@ -381,6 +381,15 @@ def test_absorption_time_decreasing_in_alpha(lam, mu, h):
     assert all(a >= b - 1e-12 * abs(a) for a, b in zip(etas, etas[1:]))
 
 
+@pytest.mark.parametrize("p, alpha", [(P121, 1e-310), (P121, 5e-324),
+                                      (ModelParams(1.0, 1.0, 1e6), 5e-324)])
+def test_absorption_time_past_float64_is_a_domain_error(p, alpha):
+    # the mean is about 1/alpha: it read inf, or alpha*(p0h + ph0)
+    # underflowed to 0 and raised a bare ZeroDivisionError
+    with pytest.raises(DomainError, match="absorption time"):
+        expected_absorption_time(p, SwitchingProb(alpha))
+
+
 def test_equal_rate_absorption_is_level_over_alpha():
     for alpha in (0.2, 0.5, 0.8, 1.0):
         rep = expected_absorption_time(PEQ, SwitchingProb(alpha))

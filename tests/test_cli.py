@@ -114,6 +114,22 @@ def test_validate_pass_and_fail_exit_codes(capsys):
     assert "overall: FAIL" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["analytics", "--lambda", "1", "--mu", "2", "--h", "1", "--alpha", "1e-310",
+     "--format", "json"],
+    ["scaling", "--h", "1", "--alpha", "1e-310"],
+    ["validate", "--lambda", "1", "--mu", "2", "--h", "1", "--alpha", "1e-310",
+     "--paths", "1000"],
+], ids=lambda argv: argv[0])
+def test_absorption_time_past_float64_is_parameter_error(capsys, argv):
+    # analytics printed "Infinity", which is not JSON, and validate
+    # simulated about 1e310 phases per path before comparing
+    code, out, err = run_capture(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "absorption time" in err
+
+
 def test_validate_threads_do_not_change_bytes(capsys, monkeypatch):
     base = ["validate", "--lambda", "1", "--mu", "2", "--h", "1",
             "--alpha", "0.5", "--paths", "20000", "--seed", "11",

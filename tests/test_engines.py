@@ -169,3 +169,37 @@ def test_reversal_cap_bounds_every_round(monkeypatch):
         rng = RandomSource(seed, 4)
         out = _run("phases", case, arg, n, rng)
         assert _digest((*out, rng.gen.random(8))) == STREAM_DIGESTS[key]
+
+
+# The scalar reference engine and the lane kernel run on one lane take the
+# same draws in the same order, so they agree bit for bit, down to where
+# they leave the generator.  (0.3, 3, 2) and (3, 0.3, 2) put either
+# direction ahead; at (5, 5, 20) the kernel draws round blocks.
+SCALAR_CASES = ((1.0, 2.0, 1.0), (5.0, 5.0, 20.0), (0.3, 3.0, 2.0), (3.0, 0.3, 2.0),
+                (2.0, 1.0, 0.1))
+
+
+@pytest.mark.parametrize("case", SCALAR_CASES)
+@pytest.mark.parametrize("start", [Boundary.ORIGIN, Boundary.LEVEL])
+def test_scalar_phase_matches_the_lane_kernel(case, start):
+    p = ModelParams(*case)
+    for i in range(200):
+        scalar, lanes = RandomSource(3, i), RandomSource(3, i)
+        ph = simulate.simulate_phase(start, p, scalar)
+        end, duration, n_switches, _, _ = _run_phases(start, p, lanes, 1)
+        assert (ph.end is Boundary.LEVEL, ph.duration, ph.n_switches) == (
+            bool(end[0]), float(duration[0]), int(n_switches[0])), (case, start, i)
+        assert scalar.gen.bit_generator.state == lanes.gen.bit_generator.state
+
+
+@pytest.mark.parametrize("case", ABSORPTION_CASES)
+def test_scalar_absorption_matches_the_lane_kernel(case):
+    lam, mu, h, alpha = case
+    p, s = ModelParams(lam, mu, h), SwitchingProb(alpha)
+    for i in range(100):
+        scalar, lanes = RandomSource(4, i), RandomSource(4, i)
+        path = simulate.simulate_until_absorption(p, s, scalar)
+        m, total, at_level = _run_absorption(p, s, lanes, 1)
+        assert (path.m, path.total_time, path.absorbed_at is Boundary.LEVEL) == (
+            int(m[0]), float(total[0]), bool(at_level[0])), (case, i)
+        assert scalar.gen.bit_generator.state == lanes.gen.bit_generator.state

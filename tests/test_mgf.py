@@ -7,9 +7,11 @@ frozen here; comparisons are at float64-level relative tolerance.
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from mpmath import mp
 
 from telegraph_box import (
     DomainError,
@@ -24,6 +26,9 @@ from telegraph_box import (
     transform_from_origin,
     wald_statistic,
 )
+from telegraph_box import cli
+
+import _mp_oracle
 
 P121 = ModelParams(1.0, 2.0, 1.0)
 
@@ -110,6 +115,99 @@ def test_roots_at_tiny_rates():
     rp = theta_roots(-1e-200, ModelParams(1e-200, 2e-200, 1.0))
     assert rel(rp.theta1, -math.sqrt(2.0) * 1e-200) < 1e-15
     assert rel(rp.theta2, math.sqrt(2.0) * 1e-200) < 1e-15
+
+
+log_uniform = st.floats(min_value=-300.0, max_value=300.0).map(lambda x: 10.0 ** x)
+
+
+def _within(got, want, tol):
+    # a value below the normal range has lost its relative precision
+    return abs(got - want) <= tol * max(abs(want), sys.float_info.min)
+
+
+@given(log_uniform, log_uniform, log_uniform, st.floats(min_value=0.0, max_value=0.9),
+       st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_roots_match_the_oracle_at_every_scale(lam, mu, size, f, negative):
+    p = ModelParams(lam, mu, 1.0)
+    omega = -size if negative else f * omega_bound(p)
+    assume(omega == 0.0 or abs(omega) >= sys.float_info.min)
+    with mp.workdps(800):
+        want = [float(t) for t in _mp_oracle._roots(mp.mpf(lam), mp.mpf(mu), mp.mpf(omega))]
+    if not all(map(math.isfinite, want)):
+        with pytest.raises(DomainError):
+            theta_roots(omega, p)
+        return
+    rp = theta_roots(omega, p)
+    assert _within(rp.theta1, want[0], 1e-13), (lam, mu, omega, rp, want)
+    assert _within(rp.theta2, want[1], 1e-13), (lam, mu, omega, rp, want)
+
+
+def _exact_bound(lam, mu):
+    with mp.workdps(60):
+        return float((mp.sqrt(mp.mpf(lam)) - mp.sqrt(mp.mpf(mu))) ** 2)
+
+
+@given(st.floats(min_value=-100.0, max_value=100.0), st.floats(min_value=-15.0, max_value=-1.0),
+       st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_omega_bound_does_not_cancel_at_near_equal_rates(log_lam, log_gap, above):
+    lam = 10.0 ** log_lam
+    mu = lam * (1.0 + 10.0 ** log_gap if above else 1.0 - 10.0 ** log_gap)
+    p = ModelParams(lam, mu, 1.0)
+    assert _within(omega_bound(p), _exact_bound(lam, mu), 1e-15)
+
+
+def test_omega_bound_at_a_near_equal_pair():
+    # (sqrt(lam) - sqrt(mu))^2 cancelled to 3.155e-30 here, so omega up
+    # to that was accepted above the bound
+    lam, mu = 6.639184241179856, 6.639184241179863
+    p = ModelParams(lam, mu, 1.0)
+    assert _within(omega_bound(p), _exact_bound(lam, mu), 1e-15)
+    with pytest.raises(DomainError):
+        theta_roots(2.09e-30, p)
+
+
+@given(log_uniform, log_uniform, log_uniform)
+@settings(max_examples=300, deadline=None)
+def test_double_root_at_the_bound(lam, mu, h):
+    p = ModelParams(lam, mu, h)
+    bound = omega_bound(p)
+    rp = theta_roots(bound, p)
+    assert _within(rp.theta1, rp.theta2, 1e-13), (lam, mu, rp)
+    for transform in (lambda: transform_from_origin(bound, p),
+                      lambda: transform_from_H(bound, 0.5 * h, p)):
+        try:
+            values = transform()
+        except DomainError:
+            continue
+        assert all(math.isfinite(v) and v >= 0.0 for v in values), (lam, mu, h, values)
+
+
+def test_double_root_at_far_apart_rates():
+    # the expanded discriminant split the double root into (1.18, 6.87e10)
+    p = ModelParams(6.96874058084462e26, 1.1663341921134036e-16, 1.0)
+    rp = theta_roots(omega_bound(p), p)
+    want = math.sqrt(p.mu) * (math.sqrt(p.mu) - math.sqrt(p.lam))   # -285094.3776...
+    assert _within(rp.theta1, want, 1e-13) and _within(rp.theta2, want, 1e-13)
+
+
+def test_roots_at_the_largest_rates(capsys):
+    # squaring in power-of-two units overflowed in ldexp here
+    rp = theta_roots(-1.0, ModelParams(1e308, 1e308, 1.0))
+    assert (rp.theta1, rp.theta2) == (-1e154, 1e154)
+    assert cli.run(["mgf", "--lambda", "1e308", "--mu", "1e308", "--h", "1",
+                    "--omega=-1"]) == 0
+    assert "theta1" in capsys.readouterr().out
+
+
+def test_smaller_root_far_below_the_larger():
+    # a common power-of-two unit flushed theta1 = -1e-200 to -0.0, and
+    # F0H at H = 1e200 read 1 instead of e^-1
+    p = ModelParams(1.0, 1e200, 1e200)
+    rp = theta_roots(-1e-200, p)
+    assert _within(rp.theta1, -1e-200, 1e-13)
+    assert _within(transform_from_origin(-1e-200, p)[1], math.exp(-1.0), 1e-12)
 
 
 def test_omega_of_theta_rejects_at_mu():

@@ -35,6 +35,17 @@ def test_validate_rejects_bad_gate(z_max):
         validate(P121, A05, 1000, seed=0, z_max=z_max)
 
 
+def test_validate_checks_the_closed_forms_before_simulating(monkeypatch):
+    from telegraph_box import montecarlo
+
+    def gather(*args):
+        raise AssertionError("simulated before the closed forms were checked")
+
+    monkeypatch.setattr(montecarlo, "_gather", gather)
+    with pytest.raises(DomainError, match="absorption time"):
+        validate(P121, SwitchingProb(1e-310), 1000, seed=0)
+
+
 def test_estimate_deterministic_across_calls_and_threads():
     a = estimate(P121, A05, 20000, seed=7, threads=1)
     b = estimate(P121, A05, 20000, seed=7, threads=1)

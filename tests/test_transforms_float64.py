@@ -3,8 +3,8 @@
 `mgf` evaluates each transform as a row of the tilted box, with rates
 (lam*mu/(mu - theta1), mu - theta1) and gap theta2 - theta1.  The gate:
 (F00, F0H) and (FHH, FH0) within 1e-12 relative of the direct expm1
-formulas that `_mp_oracle` evaluates, for omega from -1e6 up to half its
-bound, at asymmetric and near-equal rates in both rate orders.  A value
+formulas that `_mp_oracle` evaluates, for omega from -1e6 up to 0.9 of
+its bound, at asymmetric and near-equal rates in both rate orders.  A value
 below the normal range has lost its relative precision in float64;
 there the bound is taken relative to the smallest normal float instead.
 """
@@ -43,7 +43,7 @@ def _omegas(p: ModelParams):
     bound = omega_bound(p)
     yield from (-10.0 ** k for k in range(-6, 7))
     if bound > 0.0:
-        yield from (f * bound for f in (1e-6, 1e-3, 0.1, 0.5))
+        yield from (f * bound for f in (1e-6, 1e-3, 0.1, 0.5, 0.9))
 
 
 def _check(lam, mu, h, omega, descents):
