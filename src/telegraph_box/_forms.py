@@ -150,21 +150,17 @@ def _origin_row(lam: float, mu: float, h: float, ker: tuple[float, ...],
             kappa00, h * (r + q4 * v + 2.0 * q3 * v * a), s0h)
 
 
-def _closed_values_asym(lam: float, mu: float, h: float) -> tuple[float, ...]:
-    ker = _kernels(abs(mu - lam), h)
-    p00, p0h, t00, t0h, m0h, k00, k0h, _ = _origin_row(lam, mu, h, ker)
-    phh, ph0, thh, _, mh0, khh, kh0, th0 = _origin_row(mu, lam, h, ker)
-    return (p00, p0h, ph0, phh, t00, t0h, thh, th0,
-            2.0 * t00, m0h, mh0, 2.0 * thh, k00, k0h, kh0, khh)
-
-
 def closed_values(lam: float, mu: float, h: float) -> ClosedValues:
     """All closed forms at (lam, mu, H); DomainError if one is not finite."""
     # the band moves the point onto the diagonal, where the same rows give
     # the equal-rate corollary; perfbench freezes values taken there
     r = 0.5 * (lam + mu)
-    at = (r, r) if is_equal_rate(lam, mu, h) else (lam, mu)
-    vals = _closed_values_asym(*at, h)
+    a, b = (r, r) if is_equal_rate(lam, mu, h) else (lam, mu)
+    ker = _kernels(abs(b - a), h)
+    p00, p0h, t00, t0h, m0h, k00, k0h, _ = _origin_row(a, b, h, ker)
+    phh, ph0, thh, _, mh0, khh, kh0, th0 = _origin_row(b, a, h, ker)
+    vals = (p00, p0h, ph0, phh, t00, t0h, thh, th0,
+            2.0 * t00, m0h, mh0, 2.0 * thh, k00, k0h, kh0, khh)
     if not all(map(math.isfinite, vals)):
         raise DomainError(f"closed forms at lam={lam!r}, mu={mu!r}, H={h!r} "
                           "are not finite in float64")

@@ -39,25 +39,28 @@ class RootPair:
     omega: float
 
 
-def _not_finite(what: str, omega: float, p: ModelParams) -> DomainError:
-    return DomainError(f"{what} at omega={omega!r}, lam={p.lam!r}, mu={p.mu!r}, "
+def _not_finite(what: str, arg: str, x: float, p: ModelParams) -> DomainError:
+    return DomainError(f"{what} at {arg}={x!r}, lam={p.lam!r}, mu={p.mu!r}, "
                        f"H={p.effective_level!r} are not finite in float64")
 
 
 def _float64(what: str):
-    """Make a transform raise DomainError, not return inf or nan or raise
-    a bare arithmetic error, where float64 cannot hold its value."""
+    """Make a function of (x, ..., p) raise DomainError, not return inf
+    or nan or raise a bare arithmetic error, where float64 cannot hold
+    its value; the error names x (omega, d or theta) by its parameter."""
     def wrap(fn):
+        arg = fn.__code__.co_varnames[0]
+
         @functools.wraps(fn)
-        def checked(omega: float, *args):
+        def checked(x: float, *args):
             p = args[-1]
             try:
-                pair = fn(omega, *args)
+                out = fn(x, *args)
             except (OverflowError, ZeroDivisionError) as exc:
-                raise _not_finite(what, omega, p) from exc
-            if not all(map(math.isfinite, pair)):
-                raise _not_finite(what, omega, p)
-            return pair
+                raise _not_finite(what, arg, x, p) from exc
+            if not all(map(math.isfinite, out if isinstance(out, tuple) else (out,))):
+                raise _not_finite(what, arg, x, p)
+            return out
         return checked
     return wrap
 
@@ -68,11 +71,14 @@ def omega_bound(p: ModelParams) -> float:
     return d * d
 
 
+@_float64("frequencies")
 def omega_of_theta(theta: float, p: ModelParams) -> float:
     """Frequency omega = theta*(mu - lam - theta)/(mu - theta), theta < mu."""
     if theta >= p.mu:
         raise DomainError(f"theta must be below mu={p.mu}, got {theta}")
-    return theta * (p.mu - p.lam - theta) / (p.mu - theta)
+    # the quotient first: the product of the first two can overflow where
+    # omega does not
+    return theta * ((p.mu - p.lam - theta) / (p.mu - theta))
 
 
 def theta_roots(omega: float, p: ModelParams) -> RootPair:
@@ -100,7 +106,7 @@ def theta_roots(omega: float, p: ModelParams) -> RootPair:
     other = (mu * (omega / q) if abs(omega) >= mu else omega * (mu / q)) if q else 0.0
     t1, t2 = (q, other) if q <= other else (other, q)
     if not (math.isfinite(t1) and math.isfinite(t2)):
-        raise _not_finite("roots", omega, p)
+        raise _not_finite("roots", "omega", omega, p)
     return RootPair(t1, t2, omega)
 
 
@@ -163,6 +169,7 @@ def transform_from_H(omega: float, d: float, p: ModelParams) -> tuple[float, flo
             lam * (kd[3] * p0h) * box[1] * math.exp(-t2 * (h - d)) / q)
 
 
+@_float64("conditional hit probabilities")
 def conditional_hit_prob(d: float, p: ModelParams) -> float:
     """Probability that a phase from the level ends at the origin, given
     its first descent lasts d.  Returns 1 for d >= H (straight drop)."""
@@ -171,6 +178,7 @@ def conditional_hit_prob(d: float, p: ModelParams) -> float:
     return _forms.conditional_hit(p.lam, p.mu, p.effective_level, d)
 
 
+@_float64("conditional cycle means")
 def conditional_cycle_means(d: float, p: ModelParams) -> tuple[float, float]:
     """Restricted dual-time means (MHH, MH0) of a phase from the level,
     given the first descent lasts d < H.
@@ -186,6 +194,7 @@ def conditional_cycle_means(d: float, p: ModelParams) -> tuple[float, float]:
     return _forms.conditional_means(p.lam, p.mu, h, d)
 
 
+@_float64("Wald statistics")
 def wald_statistic(theta: float, y_at_stop: float, t_stop: float,
                    p: ModelParams) -> float:
     """Optional-stopping statistic exp(theta*y - lam*t*theta/(mu - theta)).

@@ -78,13 +78,11 @@ def _batch_moments(p: ModelParams, s: SwitchingProb, seed: int,
                    batch: int, size: int) -> np.ndarray:
     """(count, sum, sum of squares) rows for one batch, shape (_NQ, 3)."""
     lam, mu = p.lam, p.mu
-    out = np.empty((_NQ, 3))
-
     endl, dur, _, t_stop, y_stop = _run_phases(
         Boundary.ORIGIN, p, RandomSource(seed, 3 * batch), size)
     cols = {
-        "p00": (~endl).astype(float),
-        "p0h": endl.astype(float),
+        "p00": ~endl,
+        "p0h": endl,
         "m00": np.where(~endl, dur, 0.0),
         "m0h": np.where(endl, dur, 0.0),
     }
@@ -93,19 +91,18 @@ def _batch_moments(p: ModelParams, s: SwitchingProb, seed: int,
 
     endl, dur, _, _, _ = _run_phases(
         Boundary.LEVEL, p, RandomSource(seed, 3 * batch + 1), size)
-    cols["ph0"] = (~endl).astype(float)
-    cols["phh"] = endl.astype(float)
+    cols["ph0"] = ~endl
+    cols["phh"] = endl
     cols["mh0"] = np.where(~endl, dur, 0.0)
     cols["mhh"] = np.where(endl, dur, 0.0)
 
-    m, total, _ = _run_absorption(p, s, RandomSource(seed, 3 * batch + 2), size)
-    cols["mean_m"] = m.astype(float)
-    cols["absorption_time"] = total
+    cols["mean_m"], cols["absorption_time"], _ = _run_absorption(
+        p, s, RandomSource(seed, 3 * batch + 2), size)
 
-    for i, name in enumerate(_QUANTITIES):
-        x = cols[name]
-        out[i] = (x.size, x.sum(), (x * x).sum())
-    return out
+    x = np.array([cols[name] for name in _QUANTITIES], dtype=float)
+    sums = x.sum(axis=1)
+    x *= x      # in place, not a second (12, size) matrix
+    return np.stack((np.full(_NQ, float(size)), sums, x.sum(axis=1)), axis=1)
 
 
 def _reduce_pairwise(blocks: list[np.ndarray]) -> np.ndarray:
@@ -145,7 +142,10 @@ def _mean_se(row: np.ndarray) -> tuple[float, float]:
 def estimate(p: ModelParams, s: SwitchingProb, n_paths: int, seed: int,
              threads: int | None = None) -> MCSummary:
     """Sample means and standard errors over n_paths phases of each start
-    boundary plus n_paths absorption paths, deterministic in (seed)."""
+    boundary plus n_paths absorption paths, deterministic in (seed).
+    Raises DomainError before simulating where the mean absorption time
+    is past float64."""
+    analytics.expected_absorption_time(p, s)
     mom = _gather(p, s, n_paths, seed, threads)
     stats = dict(zip(_QUANTITIES, (_mean_se(row) for row in mom)))
     return MCSummary(

@@ -87,39 +87,26 @@ def simulate_phase(start: Boundary, p: ModelParams, rng: RandomSource) -> PhaseR
     during which the particle reaches a boundary.
     """
     h = p.effective_level
-    going_up = start is Boundary.ORIGIN
-    pos = 0.0 if going_up else h
+    up = start is Boundary.ORIGIN
+    pos = 0.0 if up else h
     ups: list[float] = []
     downs: list[float] = []
     duration = 0.0
     while True:
         if len(ups) + len(downs) >= _REVERSAL_CAP:
             raise ReversalCapExceeded(_REVERSAL_CAP)
-        if going_up:
-            u = exp_draw(p.lam, rng)
-            ups.append(u)
-            gap = h - pos
-            if u >= gap:
-                end, final_cut = Boundary.LEVEL, gap
-                duration += gap
-                break
-            pos += u
-            duration += u
-        else:
-            d = exp_draw(p.mu, rng)
-            downs.append(d)
-            gap = pos
-            if d >= gap:
-                end, final_cut = Boundary.ORIGIN, gap
-                duration += gap
-                break
-            pos -= d
-            duration += d
-        going_up = not going_up
+        x = exp_draw(p.lam if up else p.mu, rng)
+        (ups, downs)[not up].append(x)
+        gap = h - pos if up else pos
+        if x >= gap:
+            break
+        pos += x if up else -x
+        duration += x
+        up = not up
     return PhaseRecord(
-        start=start, end=end, duration=duration,
-        n_switches=len(ups) + len(downs) - 1,
-        ups=tuple(ups), downs=tuple(downs), final_cut=final_cut,
+        start=start, end=Boundary.LEVEL if up else Boundary.ORIGIN,
+        duration=duration + gap, n_switches=len(ups) + len(downs) - 1,
+        ups=tuple(ups), downs=tuple(downs), final_cut=gap,
     )
 
 
@@ -210,10 +197,10 @@ def _run_lanes(from_origin: np.ndarray, p: ModelParams, rng: RandomSource):
 
     Returns arrays (end_is_level, duration, n_switches, t_stop, y_stop) as
     _run_phases does.  All lanes start together and reverse every round,
-    so each lane's draws alternate direction with the round parity: they
-    are summed per parity and read as up or down totals when the lane
-    stops.  Live lanes are compacted densely after every round that stops
-    some of them.
+    so a lane's draws alternate direction with the round parity.  The
+    rows of st hold the live lanes' position, duration, and draws summed
+    over even and over odd rounds, read as up or down totals when a lane
+    stops.  Live lanes are compacted after every round that stops some.
 
     When few lanes stop per round, a round costs more in numpy calls than
     in arithmetic, so the kernel skips ahead with _quiet_rounds over the
@@ -231,10 +218,8 @@ def _run_lanes(from_origin: np.ndarray, p: ModelParams, rng: RandomSource):
     y_stop = np.empty(n)
     lane = np.arange(n)
     up = from_origin.copy()
-    pos = np.where(up, 0.0, h)
-    dur = np.zeros(n)
-    this = np.zeros(n)      # draws of this round's parity
-    other = np.zeros(n)     # draws of the other parity
+    st = np.zeros((4, n))
+    st[0] = np.where(up, 0.0, h)
     rounds = 0
     # stop hazard, stops per lane-round, starting from one
     stops = lane_rounds = 1
@@ -247,12 +232,12 @@ def _run_lanes(from_origin: np.ndarray, p: ModelParams, rng: RandomSource):
         if block < _BLOCK_MIN:
             draw = gen.standard_exponential(k, method="inv") / np.where(up, lam, mu)
         else:
-            quiet, draw, up, pos, dur, this, other = _quiet_rounds(
-                gen, block, h, lam, mu, up, pos, dur, this, other)
+            quiet, draw, up, st = _quiet_rounds(gen, block, rounds, h, lam, mu, up, st)
             rounds += quiet
             lane_rounds += quiet * k
-        this += draw
-        gap = np.where(up, h - pos, pos)
+        row = 2 + rounds % 2
+        st[row] += draw
+        gap = np.where(up, h - st[0], st[0])
         hit = draw >= gap
         lane_rounds += k
         if hit.any():
@@ -263,43 +248,37 @@ def _run_lanes(from_origin: np.ndarray, p: ModelParams, rng: RandomSource):
             fin = lane.take(at)
             end_up = up.take(at)
             end_level[fin] = end_up
-            duration[fin] = dur.take(at) + gap.take(at)
+            duration[fin] = st[1].take(at) + gap.take(at)
             n_switches[fin] = rounds
             # the other parity holds the down total on an upward hit and
             # the up total on a downward one; the dual clock of an
             # origin-to-level crossing still owes the level offset
-            base = other.take(at)
+            base = st[5 - row].take(at)
             t_stop[fin] = base + np.where(end_up & from_origin.take(fin), h, 0.0)
-            y_stop[fin] = np.where(end_up, base, this.take(at))
-            # one array at a time, so the old and new copies of the lane
-            # state never all coexist
+            y_stop[fin] = np.where(end_up, base, st[row].take(at))
             keep = np.flatnonzero(~hit)
-            lane = lane.take(keep)
-            up = up.take(keep)
-            pos = pos.take(keep)
-            dur = dur.take(keep)
-            this = this.take(keep)
-            other = other.take(keep)
-            draw = draw.take(keep)
-        dur += draw
-        pos += np.where(up, draw, -draw)
+            lane, up, draw = lane.take(keep), up.take(keep), draw.take(keep)
+            st = st.take(keep, axis=1)
+        st[1] += draw
+        st[0] += np.where(up, draw, -draw)
         up = ~up
-        this, other = other, this
         rounds += 1
     return end_level, duration, n_switches, t_stop, y_stop
 
 
-def _quiet_rounds(gen, block, h, lam, mu, up, pos, dur, this, other):
+def _quiet_rounds(gen, block, rounds, h, lam, mu, up, st):
     """Draw the next `block` rounds (an even number) of every lane at once
-    and advance the lanes over the leading rounds in which none stops.
+    and advance the lanes over the leading rounds in which none stops;
+    the parity of `rounds`, the rounds done, picks the rows of st they
+    add to.
 
-    Returns (quiet, draw, up, pos, dur, this, other): the number of rounds
-    skipped, then the draws and lane state of the round after them, which
-    either stops a lane or is the block's last; the caller finishes that
-    round.  One call of block*k draws gives the same numbers as block
-    calls of k, and cumulative sums add them in the per-round order, so
-    every value is the one the round-by-round loop computes.  The
-    generator is stepped back over the draws of the rounds not used.
+    Returns (quiet, draw, up, st): the number of rounds skipped, then the
+    draws and lane state of the round after them, which either stops a
+    lane or is the block's last; the caller finishes that round.  One
+    call of block*k draws gives the same numbers as block calls of k, and
+    cumulative sums add them in the per-round order, so every value is
+    the one the round-by-round loop computes.  The generator is stepped
+    back over the draws of the rounds not used.
     """
     k = up.size
     going_up = np.stack((up, ~up))      # by round parity
@@ -308,7 +287,7 @@ def _quiet_rounds(gen, block, h, lam, mu, up, pos, dur, this, other):
     draws /= np.where(going_up, lam, mu)
     # row t of track is the position at the start of round t
     track = np.empty((block + 1, k))
-    track[0] = pos
+    track[0] = st[0]
     np.multiply(draws, np.where(going_up, 1.0, -1.0), out=track[1:].reshape(-1, 2, k))
     np.cumsum(track, axis=0, out=track)
     start = track[:-1].reshape(-1, 2, k)
@@ -317,19 +296,18 @@ def _quiet_rounds(gen, block, h, lam, mu, up, pos, dur, this, other):
     quiet = int(stopping[0]) if stopping.size else block - 1
     _rewind(gen.bit_generator, (block - quiet - 1) * k)
     draws = draws.reshape(block, k)
+    st[0] = track[quiet]
     if quiet:
         # duration and the two parity totals; adding the zeros of the
         # other parity leaves a total unchanged
         sums = np.zeros((quiet + 1, 3, k))
-        sums[0] = dur, this, other
+        sums[0] = st[1:]
         sums[1:, 0] = draws[:quiet]
-        sums[1::2, 1] = draws[0:quiet:2]
-        sums[2::2, 2] = draws[1:quiet:2]
+        sums[1::2, 1 + rounds % 2] = draws[0:quiet:2]
+        sums[2::2, 2 - rounds % 2] = draws[1:quiet:2]
         np.cumsum(sums, axis=0, out=sums)
-        dur, this, other = sums[-1]
-        if quiet % 2:
-            this, other = other, this
-    return quiet, draws[quiet], going_up[quiet % 2], track[quiet], dur, this, other
+        st[1:] = sums[-1]
+    return quiet, draws[quiet], going_up[quiet % 2], st
 
 
 def _rewind(bitgen, steps: int) -> None:

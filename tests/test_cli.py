@@ -130,6 +130,21 @@ def test_absorption_time_past_float64_is_parameter_error(capsys, argv):
     assert "absorption time" in err
 
 
+def test_simulate_absorption_time_past_float64_is_parameter_error(capsys, monkeypatch):
+    # it simulated, silently, for as long as it was let run; a simulation
+    # now fails the test instead of hanging it
+    def gather(*args):
+        raise AssertionError("simulated before the absorption time was checked")
+
+    monkeypatch.setattr(cli.montecarlo, "_gather", gather)
+    code, out, err = run_capture(capsys, [
+        "simulate", "--lambda", "1", "--mu", "2", "--h", "1", "--alpha", "1e-310",
+        "--paths", "1000", "--seed", "1"])
+    assert code == 2
+    assert out == ""
+    assert "absorption time" in err
+
+
 def test_validate_threads_do_not_change_bytes(capsys, monkeypatch):
     base = ["validate", "--lambda", "1", "--mu", "2", "--h", "1",
             "--alpha", "0.5", "--paths", "20000", "--seed", "11",

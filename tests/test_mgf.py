@@ -7,6 +7,7 @@ frozen here; comparisons are at float64-level relative tolerance.
 from __future__ import annotations
 
 import math
+import re
 import sys
 
 import pytest
@@ -103,6 +104,33 @@ def test_transform_beyond_float64_is_a_domain_error():
         transform_from_origin(67.33596100228024, p)
     with pytest.raises(DomainError):
         transform_from_H(67.33596100228024, 11.3, p)
+
+
+@pytest.mark.parametrize("lam, mu, h, d", [
+    (0.0169, 46.3, 30.5, 15.25),    # expm1 raised a bare OverflowError
+    (183230561.54516667, 3.0229639004446437e+271, 4.752090257711753e+46,
+     2.1818354302190116e+46),      # inf/inf returned nan
+])
+def test_conditional_hit_past_float64_is_a_domain_error(lam, mu, h, d):
+    with pytest.raises(DomainError, match=re.escape(f"at d={d!r},")):
+        conditional_hit_prob(d, ModelParams(lam, mu, h))
+
+
+def test_conditional_means_past_float64_are_a_domain_error():
+    # both means are past float64 and were returned as (inf, inf)
+    with pytest.raises(DomainError, match="at d=5e"):
+        conditional_cycle_means(5e299, ModelParams(1.0, 1.0, 1e300))
+
+
+def test_omega_of_theta_where_the_product_overflows():
+    # theta*(mu - lam - theta) overflowed, and -inf was returned for -1e200
+    assert omega_of_theta(-1e200, ModelParams(1.0, 1e200, 1.0)) == -1e200
+
+
+def test_wald_statistic_past_float64_is_a_domain_error():
+    # math.exp raised a bare OverflowError
+    with pytest.raises(DomainError, match="at theta="):
+        wald_statistic(-1e119, 0.0, 1e71, ModelParams(1e119, 1.0, 1e71))
 
 
 def test_roots_at_huge_rates():

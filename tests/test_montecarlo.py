@@ -46,6 +46,18 @@ def test_validate_checks_the_closed_forms_before_simulating(monkeypatch):
         validate(P121, SwitchingProb(1e-310), 1000, seed=0)
 
 
+def test_estimate_checks_the_absorption_time_before_simulating(monkeypatch):
+    # the mean phase count 1/alpha is past float64: the run never ended
+    from telegraph_box import montecarlo
+
+    def gather(*args):
+        raise AssertionError("simulated before the absorption time was checked")
+
+    monkeypatch.setattr(montecarlo, "_gather", gather)
+    with pytest.raises(DomainError, match="absorption time"):
+        estimate(P121, SwitchingProb(1e-310), 1000, seed=1)
+
+
 def test_estimate_deterministic_across_calls_and_threads():
     a = estimate(P121, A05, 20000, seed=7, threads=1)
     b = estimate(P121, A05, 20000, seed=7, threads=1)
