@@ -34,7 +34,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import float64_result
 
 # |lam - mu| * max(1, H) below this means "rates are equal": closed_values
 # evaluates at the midpoint rate, and conditional_hit at its limit.
@@ -150,21 +150,20 @@ def _origin_row(lam: float, mu: float, h: float, ker: tuple[float, ...],
             kappa00, h * (r + q4 * v + 2.0 * q3 * v * a), s0h)
 
 
+@float64_result("closed forms")
 def closed_values(lam: float, mu: float, h: float) -> ClosedValues:
     """All closed forms at (lam, mu, H); DomainError if one is not finite."""
     # the band moves the point onto the diagonal, where the same rows give
     # the equal-rate corollary; perfbench freezes values taken there
-    r = 0.5 * (lam + mu)
+    # the sum of the halves only where the sum overflows: halving a rate
+    # below 2^-1021 rounds
+    r = 0.5 * (lam + mu) if lam + mu < math.inf else 0.5 * lam + 0.5 * mu
     a, b = (r, r) if is_equal_rate(lam, mu, h) else (lam, mu)
     ker = _kernels(abs(b - a), h)
     p00, p0h, t00, t0h, m0h, k00, k0h, _ = _origin_row(a, b, h, ker)
     phh, ph0, thh, _, mh0, khh, kh0, th0 = _origin_row(b, a, h, ker)
-    vals = (p00, p0h, ph0, phh, t00, t0h, thh, th0,
-            2.0 * t00, m0h, mh0, 2.0 * thh, k00, k0h, kh0, khh)
-    if not all(map(math.isfinite, vals)):
-        raise DomainError(f"closed forms at lam={lam!r}, mu={mu!r}, H={h!r} "
-                          "are not finite in float64")
-    return ClosedValues(*vals)
+    return ClosedValues(p00, p0h, ph0, phh, t00, t0h, thh, th0,
+                        2.0 * t00, m0h, mh0, 2.0 * thh, k00, k0h, kh0, khh)
 
 
 def conditional_hit(lam: float, mu: float, h: float, d: float) -> float:
@@ -174,7 +173,7 @@ def conditional_hit(lam: float, mu: float, h: float, d: float) -> float:
     if d <= 0.0:
         return 0.0
     if is_equal_rate(lam, mu, h):
-        r = 0.5 * (lam + mu)
+        r = 0.5 * (lam + mu) if lam + mu < math.inf else 0.5 * lam + 0.5 * mu
         return r * d / (1.0 + r * h)
     dd = mu - lam
     # lam*(e^{(mu-lam)d}-1) / (mu*e^{(mu-lam)H}-lam); denominator written

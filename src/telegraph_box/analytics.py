@@ -9,12 +9,11 @@ Bernoulli(alpha) boundary switching.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 from . import _forms
 from .core import Boundary, ModelParams, SwitchingProb
-from .errors import DomainError, InvalidIndex
+from .errors import InvalidIndex, float64_result
 
 
 @dataclass(frozen=True)
@@ -104,6 +103,7 @@ def expected_cycles(p: ModelParams) -> CycleMeans:
     return _select(CycleMeans, _closed_values(p))
 
 
+@float64_result("phase-chain powers")
 def matrix_power(pm: PhaseMatrix, j: int) -> PhaseMatrix:
     """j-th power of the phase chain in closed spectral form.
 
@@ -114,8 +114,7 @@ def matrix_power(pm: PhaseMatrix, j: int) -> PhaseMatrix:
     if j < 0:
         raise InvalidIndex(f"matrix power needs j >= 0, got {j}")
     s = pm.p0h + pm.ph0
-    vart = 1.0 - s
-    vj = 1.0 if j == 0 else vart ** j
+    vj = (1.0 - s) ** j                 # exactly 1 at j = 0
     stat0, stath = pm.ph0 / s, pm.p0h / s
     return PhaseMatrix(
         p00=stat0 + vj * (1.0 - stat0),
@@ -125,6 +124,7 @@ def matrix_power(pm: PhaseMatrix, j: int) -> PhaseMatrix:
     )
 
 
+@float64_result("partial power sums")
 def q_sum(pm: PhaseMatrix, i: int, m: int, u: Boundary, v: Boundary) -> float:
     """Partial power sum: the (u, v) entry of sum_{j=i}^{m} P^j.
 
@@ -148,6 +148,7 @@ def q_sum(pm: PhaseMatrix, i: int, m: int, u: Boundary, v: Boundary) -> float:
     return n_terms * stat + geo * (res - stat)
 
 
+@float64_result("expected phase lengths")
 def expected_length_L(p: ModelParams, n: int) -> float:
     """Expected total duration of the first n phases of a path from the
     origin, with each reflected phase restarting from the boundary it hit.
@@ -161,13 +162,13 @@ def expected_length_L(p: ModelParams, n: int) -> float:
     pm = _select(PhaseMatrix, cv)
     l1 = cv.m00 + cv.m0h
     l1s = cv.mh0 + cv.mhh
-    if n == 1:
-        return l1
+    # at n = 1 both sums are empty, 0.0, and L_1 = l1 exactly
     return (l1
             + l1 * q_sum(pm, 1, n - 1, Boundary.ORIGIN, Boundary.ORIGIN)
             + l1s * q_sum(pm, 1, n - 1, Boundary.ORIGIN, Boundary.LEVEL))
 
 
+@float64_result("expected absorption times")
 def _absorption(cv: _forms.ClosedValues, alpha: float) -> AbsorptionReport:
     l1 = cv.m00 + cv.m0h
     l1s = cv.mh0 + cv.mhh
@@ -175,14 +176,10 @@ def _absorption(cv: _forms.ClosedValues, alpha: float) -> AbsorptionReport:
     if alpha == 1.0:
         eta = l1
     else:
+        # where 1/alpha is past float64 a denominator can underflow to 0
         ssum = cv.p0h + cv.ph0
-        try:
-            eta = ((l1 * cv.ph0 + l1s * cv.p0h) / (alpha * ssum)
-                   + cv.p0h * (l1 - l1s) / (ssum * (1.0 - (1.0 - alpha) * vart)))
-        except ZeroDivisionError:   # a denominator underflowed: 1/alpha is past float64
-            eta = math.inf
-    if not math.isfinite(eta):
-        raise DomainError(f"expected absorption time at alpha={alpha!r} is past float64")
+        eta = ((l1 * cv.ph0 + l1s * cv.p0h) / (alpha * ssum)
+               + cv.p0h * (l1 - l1s) / (ssum * (1.0 - (1.0 - alpha) * vart)))
     return AbsorptionReport(l1, l1s, vart, eta)
 
 

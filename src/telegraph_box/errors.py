@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import functools
+import inspect
+import math
+
 
 class TelegraphBoxError(Exception):
     """Base class for all library errors."""
@@ -26,6 +30,32 @@ class AlphaOutOfRange(TelegraphBoxError):
 
 class DomainError(TelegraphBoxError):
     """Argument outside the admissible domain of a transform or root map."""
+
+
+def float64_result(what: str):
+    """Make fn raise DomainError, naming its numeric and ModelParams
+    arguments, where float64 cannot hold its value: on OverflowError,
+    ZeroDivisionError, or inf or nan in a float, tuple or dataclass result."""
+    def wrap(fn):
+        @functools.wraps(fn)
+        def checked(*args, **kwargs):
+            cause = None
+            try:
+                out = fn(*args, **kwargs)
+                vals = (out,) if isinstance(out, float) else (
+                    out if isinstance(out, tuple) else vars(out).values())
+                # a finite sum has finite terms; one past float64 may not
+                if math.isfinite(sum(vals)) or all(map(math.isfinite, vals)):
+                    return out
+            except (OverflowError, ZeroDivisionError) as exc:
+                cause = exc
+            from .core import ModelParams       # core imports this module
+            bound = inspect.signature(fn).bind(*args, **kwargs).arguments.items()
+            at = ", ".join(f"{name}={value!r}" for name, value in bound
+                           if isinstance(value, (int, float, ModelParams)))
+            raise DomainError(f"{what} at {at} are not finite in float64") from cause
+        return checked
+    return wrap
 
 
 class InvalidIndex(TelegraphBoxError):

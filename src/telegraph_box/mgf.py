@@ -18,51 +18,26 @@ as the roots merge at the bound the rows pass through gap 0.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 from . import _forms
 from .core import ModelParams
-from .errors import DomainError
+from .errors import DomainError, float64_result
 
 @dataclass(frozen=True)
 class RootPair:
     """Real roots theta1 <= theta2 of theta^2 + theta*(lam - mu - omega) + mu*omega = 0.
 
-    Both satisfy omega_of_theta(theta_i) == omega; theta2 < mu on the
-    admissible range omega <= (sqrt(lam) - sqrt(mu))^2.
+    For omega <= (sqrt(lam) - sqrt(mu))^2 both satisfy omega_of_theta(theta_i)
+    == omega and theta2 < mu in exact arithmetic; in float64 theta2 may round
+    to the float below mu, as at (lam, mu) = (1, 1e164) and omega = -1, where
+    theta2 = 9.999999999999999e163 and omega_of_theta(theta2) is about 1e164.
     """
 
     theta1: float
     theta2: float
     omega: float
-
-
-def _not_finite(what: str, arg: str, x: float, p: ModelParams) -> DomainError:
-    return DomainError(f"{what} at {arg}={x!r}, lam={p.lam!r}, mu={p.mu!r}, "
-                       f"H={p.effective_level!r} are not finite in float64")
-
-
-def _float64(what: str):
-    """Make a function of (x, ..., p) raise DomainError, not return inf
-    or nan or raise a bare arithmetic error, where float64 cannot hold
-    its value; the error names x (omega, d or theta) by its parameter."""
-    def wrap(fn):
-        arg = fn.__code__.co_varnames[0]
-
-        @functools.wraps(fn)
-        def checked(x: float, *args):
-            p = args[-1]
-            try:
-                out = fn(x, *args)
-            except (OverflowError, ZeroDivisionError) as exc:
-                raise _not_finite(what, arg, x, p) from exc
-            if not all(map(math.isfinite, out if isinstance(out, tuple) else (out,))):
-                raise _not_finite(what, arg, x, p)
-            return out
-        return checked
-    return wrap
 
 
 def omega_bound(p: ModelParams) -> float:
@@ -71,7 +46,7 @@ def omega_bound(p: ModelParams) -> float:
     return d * d
 
 
-@_float64("frequencies")
+@float64_result("frequencies")
 def omega_of_theta(theta: float, p: ModelParams) -> float:
     """Frequency omega = theta*(mu - lam - theta)/(mu - theta), theta < mu."""
     if theta >= p.mu:
@@ -81,6 +56,7 @@ def omega_of_theta(theta: float, p: ModelParams) -> float:
     return theta * ((p.mu - p.lam - theta) / (p.mu - theta))
 
 
+@float64_result("roots")
 def theta_roots(omega: float, p: ModelParams) -> RootPair:
     """Solve the exponent quadratic for a given frequency.
 
@@ -105,8 +81,6 @@ def theta_roots(omega: float, p: ModelParams) -> RootPair:
         math.sqrt(a) * math.sqrt(a / 4.0 + math.sqrt(lam) * math.sqrt(mu)), half_b))
     other = (mu * (omega / q) if abs(omega) >= mu else omega * (mu / q)) if q else 0.0
     t1, t2 = (q, other) if q <= other else (other, q)
-    if not (math.isfinite(t1) and math.isfinite(t2)):
-        raise _not_finite("roots", "omega", omega, p)
     return RootPair(t1, t2, omega)
 
 
@@ -120,7 +94,7 @@ def _tilted(omega: float, p: ModelParams) -> tuple[float, float, float, float]:
     return rp.theta1, rp.theta2, min(p.lam * (p.mu / hi), hi), hi
 
 
-@_float64("transforms from the origin")
+@float64_result("transforms from the origin")
 def transform_from_origin(omega: float, p: ModelParams) -> tuple[float, float]:
     """Restricted transforms (F00, F0H) of a phase started at the origin.
 
@@ -140,7 +114,7 @@ def transform_from_origin(omega: float, p: ModelParams) -> tuple[float, float]:
     return lam * (ker[3] * p0h), math.exp(t1 * h) * p0h
 
 
-@_float64("transforms from the level")
+@float64_result("transforms from the level")
 def transform_from_H(omega: float, d: float, p: ModelParams) -> tuple[float, float]:
     """Restricted transforms (FHH, FH0) of a phase started at the level,
     conditioned on the first descent lasting d.
@@ -169,7 +143,7 @@ def transform_from_H(omega: float, d: float, p: ModelParams) -> tuple[float, flo
             lam * (kd[3] * p0h) * box[1] * math.exp(-t2 * (h - d)) / q)
 
 
-@_float64("conditional hit probabilities")
+@float64_result("conditional hit probabilities")
 def conditional_hit_prob(d: float, p: ModelParams) -> float:
     """Probability that a phase from the level ends at the origin, given
     its first descent lasts d.  Returns 1 for d >= H (straight drop)."""
@@ -178,7 +152,7 @@ def conditional_hit_prob(d: float, p: ModelParams) -> float:
     return _forms.conditional_hit(p.lam, p.mu, p.effective_level, d)
 
 
-@_float64("conditional cycle means")
+@float64_result("conditional cycle means")
 def conditional_cycle_means(d: float, p: ModelParams) -> tuple[float, float]:
     """Restricted dual-time means (MHH, MH0) of a phase from the level,
     given the first descent lasts d < H.
@@ -194,7 +168,7 @@ def conditional_cycle_means(d: float, p: ModelParams) -> tuple[float, float]:
     return _forms.conditional_means(p.lam, p.mu, h, d)
 
 
-@_float64("Wald statistics")
+@float64_result("Wald statistics")
 def wald_statistic(theta: float, y_at_stop: float, t_stop: float,
                    p: ModelParams) -> float:
     """Optional-stopping statistic exp(theta*y - lam*t*theta/(mu - theta)).

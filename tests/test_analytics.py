@@ -263,6 +263,11 @@ def test_equal_rate_extremes():
     cm = expected_cycles(ModelParams(1e-200, 1e-200, 1e-200))
     assert all(math.isfinite(v) for v in vars(cm).values())
     assert cm.kappa00 == cm.kappa0h == 1e-200
+    # lam + mu overflows at (1e308, 1e308, 1), though every form is finite:
+    # the midpoint is the sum of the halves, and kappa0H ~ H^2 r / 3
+    cv = _forms.closed_values(1e308, 1e308, 1.0)
+    assert cv.p00 == 1.0 and rel(cv.kappa0h, 1e308 / 3.0) < 1e-15
+    assert _forms.conditional_hit(1e308, 1e308, 1.0, 0.5) == 0.5
 
 
 def test_equal_rate_cycle_sum_is_level():

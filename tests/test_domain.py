@@ -5,12 +5,14 @@ Rates, level and velocity are log-uniform over 1e+-300, alpha over
 [1e-320, 1] (down into the subnormals), the transform argument is a
 large negative number, a fraction of the admissible bound, the bound
 itself or zero, and the descent is zero, a fraction of H or the last
-float below H.
+float below H.  Phase counts and matrix powers are up to 10^7 or
+between 10^300 and 10^400, and every function is called by keyword.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import math
 
 from hypothesis import given, settings, strategies as st
@@ -40,7 +42,8 @@ from telegraph_box import (
 log_uniform = st.floats(min_value=-300.0, max_value=300.0).map(lambda x: 10.0 ** x)
 alphas = st.floats(min_value=-320.0, max_value=0.0).map(lambda x: min(10.0 ** x, 1.0))
 units = st.floats(min_value=0.0, max_value=1.0)
-counts = st.integers(min_value=1, max_value=10 ** 7)
+counts = st.one_of(st.integers(min_value=1, max_value=10 ** 7),
+                   st.integers(min_value=10 ** 300, max_value=10 ** 400))
 
 
 def _floats(value) -> tuple[float, ...]:
@@ -50,9 +53,10 @@ def _floats(value) -> tuple[float, ...]:
 
 
 def _finite_or_typed(fn, *args):
-    """fn(*args) if all its floats are finite; None on a typed error."""
+    """fn(*args), called by keyword, if all its floats are finite; None on
+    a typed error."""
     try:
-        value = fn(*args)
+        value = fn(**inspect.signature(fn).bind(*args).arguments)
     except TelegraphBoxError:
         return None
     assert all(map(math.isfinite, _floats(value))), (fn.__name__, args, value)
