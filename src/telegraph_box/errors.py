@@ -85,4 +85,6 @@ class IdentityViolation(TelegraphBoxError):
 
 
 class ReversalCapExceeded(TelegraphBoxError):
-    """Defensive cap on velocity reversals within one phase was hit."""
+    """Defensive cap on velocity reversals was hit: within one phase of
+    the scalar engine, or over all the rounds of one array-kernel call,
+    restarts of absorption paths included."""

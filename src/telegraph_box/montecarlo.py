@@ -78,9 +78,14 @@ def _batch_moments(p: ModelParams, s: SwitchingProb, seed: int,
                    batch: int, size: int) -> np.ndarray:
     """(count, sum, sum of squares) rows for one batch, shape (_NQ, 3)."""
     lam, mu = p.lam, p.mu
+    # first, so that phase counts past the budget fail before any phase
+    # is run; each engine has its own stream, so the order changes no value
+    cols = {}
+    cols["mean_m"], cols["absorption_time"], _ = _run_absorption(
+        p, s, RandomSource(seed, 3 * batch + 2), size)
     endl, dur, _, t_stop, y_stop = _run_phases(
         Boundary.ORIGIN, p, RandomSource(seed, 3 * batch), size)
-    cols = {
+    cols |= {
         "p00": ~endl,
         "p0h": endl,
         "m00": np.where(~endl, dur, 0.0),
@@ -95,9 +100,6 @@ def _batch_moments(p: ModelParams, s: SwitchingProb, seed: int,
     cols["phh"] = endl
     cols["mh0"] = np.where(~endl, dur, 0.0)
     cols["mhh"] = np.where(endl, dur, 0.0)
-
-    cols["mean_m"], cols["absorption_time"], _ = _run_absorption(
-        p, s, RandomSource(seed, 3 * batch + 2), size)
 
     x = np.array([cols[name] for name in _QUANTITIES], dtype=float)
     sums = x.sum(axis=1)

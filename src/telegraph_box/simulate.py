@@ -18,8 +18,10 @@ import numpy as np
 from .core import Boundary, ModelParams, RandomSource, SwitchingProb, exp_draw
 from .errors import IdentityViolation, MaxPhasesExceeded, ReversalCapExceeded
 
-# defensive cap on velocity reversals within one phase; phases end with
-# probability one, so tripping this signals corrupted parameters
+# defensive cap on velocity reversals within one scalar phase, and on the
+# rounds of one array-kernel call, the restarts of absorption paths
+# included; phases end with probability one, so tripping this signals
+# corrupted parameters or a phase count past what the cap can run
 _REVERSAL_CAP = 10 ** 7
 
 # |C - (2T +/- H)| must stay below this times max(1, C)
@@ -112,25 +114,25 @@ def simulate_phase(start: Boundary, p: ModelParams, rng: RandomSource) -> PhaseR
 
 def simulate_until_absorption(p: ModelParams, s: SwitchingProb, rng: RandomSource,
                               max_phases: int = 10 ** 6) -> PathRecord:
-    """Chain phases from the origin, flipping a Bernoulli(alpha) coin at
-    every boundary contact, until the particle is absorbed.
+    """Chain phases from the origin until the particle is absorbed.
 
-    Raises MaxPhasesExceeded if absorption has not happened within
+    The phase count is drawn first, Geometric(alpha), the law of a
+    Bernoulli(alpha) absorption coin at every boundary contact.  Raises
+    MaxPhasesExceeded, before any phase is run, if it exceeds
     max_phases; the error keeps censored paths out of any statistics.
     """
-    if max_phases < 1:
+    m = int(rng.gen.geometric(s.alpha))
+    if m > max_phases:
         raise MaxPhasesExceeded(max_phases)
     phases: list[PhaseRecord] = []
     where = Boundary.ORIGIN
     total = 0.0
-    for _ in range(max_phases):
+    for _ in range(m):
         ph = simulate_phase(where, p, rng)
         phases.append(ph)
         total += ph.duration
         where = ph.end
-        if rng.gen.random() < s.alpha:
-            return PathRecord(tuple(phases), len(phases), where, total)
-    raise MaxPhasesExceeded(max_phases)
+    return PathRecord(tuple(phases), m, where, total)
 
 
 def _dual_scan(start, ups, downs, h):
@@ -191,16 +193,25 @@ def dual_representation_check(ph: PhaseRecord, p: ModelParams) -> DualCheck:
 # array engine
 
 
-def _run_lanes(from_origin: np.ndarray, p: ModelParams, rng: RandomSource):
-    """Run one phase per lane, vectorized; lane i starts at the origin if
-    from_origin[i], else at the level.
+def _run_lanes(from_origin: np.ndarray, phases: np.ndarray, p: ModelParams,
+               rng: RandomSource):
+    """Run phases[i] phases in a row on lane i, vectorized; lane i starts
+    at the origin if from_origin[i], else at the level, and each later
+    phase at the wall the one before it hit.
 
-    Returns arrays (end_is_level, duration, n_switches, t_stop, y_stop) as
-    _run_phases does.  All lanes start together and reverse every round,
-    so a lane's draws alternate direction with the round parity.  The
-    rows of st hold the live lanes' position, duration, and draws summed
-    over even and over odd rounds, read as up or down totals when a lane
-    stops.  Live lanes are compacted after every round that stops some.
+    Returns arrays (end_is_level, duration, n_switches, t_stop, y_stop)
+    as _run_phases does; end_is_level is that of a lane's last phase and
+    duration the sum of its phases' durations.  All lanes start together
+    and reverse every round, so a lane's draws alternate direction with
+    the round parity; a reflection reverses the velocity as a switch
+    does, so a restart keeps that parity.  The rows of st hold the live
+    lanes' position, duration of the current phase, and draws summed over
+    even and over odd rounds, read as up or down totals when a lane
+    retires.  A lane that stops with phases left is restarted in place
+    at its wall; the parity sums then span several phases, so
+    n_switches, t_stop and y_stop hold only for one-phase lanes.  Live
+    lanes are compacted after every round that retires some.
+    _REVERSAL_CAP bounds the rounds of the whole call, restarts included.
 
     When few lanes stop per round, a round costs more in numpy calls than
     in arithmetic, so the kernel skips ahead with _quiet_rounds over the
@@ -212,11 +223,13 @@ def _run_lanes(from_origin: np.ndarray, p: ModelParams, rng: RandomSource):
     gen = rng.gen
     n = from_origin.size
     end_level = np.empty(n, dtype=bool)
-    duration = np.empty(n)
+    duration = np.zeros(n)
     n_switches = np.empty(n, dtype=np.int64)
     t_stop = np.empty(n)
     y_stop = np.empty(n)
     lane = np.arange(n)
+    left = phases.copy()
+    restarts = int(left.sum()) - n
     up = from_origin.copy()
     st = np.zeros((4, n))
     st[0] = np.where(up, 0.0, h)
@@ -246,9 +259,22 @@ def _run_lanes(from_origin: np.ndarray, p: ModelParams, rng: RandomSource):
             if stops > _HAZARD_STOPS:
                 stops, lane_rounds = stops / 2, lane_rounds / 2
             fin = lane.take(at)
+            duration[fin] += st[1].take(at) + gap.take(at)
+            if restarts:
+                # a lane with phases left restarts at the wall it hit; a
+                # zero draw keeps it there through the velocity flip that
+                # ends the round
+                more = left.take(fin) > 1
+                again = at[more]
+                restarts -= again.size
+                left[fin[more]] -= 1
+                hit[again] = False
+                draw[again] = 0.0
+                st[0, again] = h * up.take(again)
+                st[1, again] = 0.0
+                at, fin = at[~more], fin[~more]
             end_up = up.take(at)
             end_level[fin] = end_up
-            duration[fin] = st[1].take(at) + gap.take(at)
             n_switches[fin] = rounds
             # the other parity holds the down total on an upward hit and
             # the up total on a downward one; the dual clock of an
@@ -332,34 +358,22 @@ def _run_phases(start: Boundary, p: ModelParams, rng: RandomSource, n: int):
     y_stop the dual jump total at the stop, so duration and t_stop come
     from independent accumulations and identity checks stay meaningful.
     """
-    return _run_lanes(np.full(n, start is Boundary.ORIGIN), p, rng)
+    return _run_lanes(np.full(n, start is Boundary.ORIGIN), np.ones(n, dtype=np.int64),
+                      p, rng)
 
 
 def _run_absorption(p: ModelParams, s: SwitchingProb, rng: RandomSource, n: int,
                     max_phases: int = 10 ** 6):
     """Simulate n absorption paths from the origin, vectorized.
 
-    Returns (m, total_time, absorbed_at_level).  Live paths advance one
-    phase per outer round, each from the boundary its last phase hit; a
-    Bernoulli(alpha) coin per path after every phase retires the absorbed.
+    Returns (m, total_time, absorbed_at_level).  Each path's phase count
+    is drawn first, Geometric(alpha) as a Bernoulli(alpha) coin at every
+    contact would give it, so a count past max_phases raises
+    MaxPhasesExceeded before any phase is run.  One lane-kernel call
+    then runs every path's phases back to back.
     """
-    m = np.empty(n, dtype=np.int64)
-    total = np.empty(n)
-    absorbed_level = np.empty(n, dtype=bool)
-    lane = np.arange(n)
-    from_origin = np.ones(n, dtype=bool)
-    elapsed = np.zeros(n)
-    for phase in range(1, max_phases + 1):
-        end_level, dur = _run_lanes(from_origin, p, rng)[:2]
-        elapsed += dur
-        coin = rng.gen.random(lane.size) < s.alpha
-        done = np.flatnonzero(coin)
-        fin = lane.take(done)
-        m[fin] = phase
-        total[fin] = elapsed.take(done)
-        absorbed_level[fin] = end_level.take(done)
-        stay = np.flatnonzero(~coin)
-        if not stay.size:
-            return m, total, absorbed_level
-        lane, elapsed, from_origin = lane.take(stay), elapsed.take(stay), ~end_level.take(stay)
-    raise MaxPhasesExceeded(max_phases)
+    m = rng.gen.geometric(s.alpha, n)
+    if m.max(initial=0) > max_phases:
+        raise MaxPhasesExceeded(max_phases)
+    end_level, total = _run_lanes(np.ones(n, dtype=bool), m, p, rng)[:2]
+    return m, total, end_level

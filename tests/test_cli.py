@@ -8,7 +8,7 @@ import math
 
 import pytest
 
-from telegraph_box import cli
+from telegraph_box import cli, simulate
 
 
 def run_capture(capsys, argv):
@@ -143,6 +143,21 @@ def test_simulate_absorption_time_past_float64_is_parameter_error(capsys, monkey
     assert code == 2
     assert out == ""
     assert "absorption time" in err
+
+
+def test_simulate_phase_count_past_the_budget_runs_no_phase(capsys, monkeypatch):
+    # at alpha = 1e-7 about 1e7 phases per path ran until stopped; the
+    # phase counts are now drawn first and checked against the budget
+    def run_lanes(*args):
+        raise AssertionError("ran phases before the phase budget was checked")
+
+    monkeypatch.setattr(simulate, "_run_lanes", run_lanes)
+    code, out, err = run_capture(capsys, [
+        "simulate", "--lambda", "1", "--mu", "2", "--h", "1", "--alpha", "1e-7",
+        "--paths", "1000", "--seed", "1"])
+    assert code == 2
+    assert out == ""
+    assert "max_phases" in err
 
 
 def test_validate_threads_do_not_change_bytes(capsys, monkeypatch):
@@ -339,16 +354,16 @@ GOLDEN = {
         "5b18de18188e017b1796ba10b8ae1da3f09787e68d2640916998c618ace3fbe9"),
     "simulate": (
         0,
-        "fb12e2c1d9f002ec5627a6962044268b913b8183e150433006c2264f12c1a888",
-        "906ed9a2292c34bf06dff201f0b1d9a2da0e245b4383e52100deb5321e340f08"),
+        "37f9a3d53e4758b556ea5e3113d2259d4c64d2bd7c1190174104377783000005",
+        "e70c7387cc8cafd46bdcb26f6d90edc0b583295cc14297550afe2b95be363e24"),
     "validate-pass": (
         0,
-        "cb89b6db0e55c152a1301a80b26862029fac69ad2f1c6ce764c3f050d233f135",
-        "9f748d58335106e1c5de9c155a49cea5622cb9d62d4507aad2d9556edfa5051f"),
+        "1364052b021711604c2acdcd0f4506dd449a14080645e0e9614d787373767dcd",
+        "35ced253fd73942206ad7b2970503c63c674cdc2dd8ec19e8fc455bfd113e711"),
     "validate-fail": (
         1,
-        "c3c00e51bb44106aa25180ae087aaa74348f40c15137372beb03301faf5870b3",
-        "9f748d58335106e1c5de9c155a49cea5622cb9d62d4507aad2d9556edfa5051f"),
+        "33ecb9457e951d99194d61bf09ac2013de70d52617d4e05cec7fd7197db3c04b",
+        "35ced253fd73942206ad7b2970503c63c674cdc2dd8ec19e8fc455bfd113e711"),
     "scaling": (
         0,
         "d37bcc58267889d16cf38d8086b077aec5d3750936b166cba223eeca11c4c5ad",

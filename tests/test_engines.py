@@ -66,12 +66,12 @@ PHASE_DIGESTS = {
 }
 
 ABSORPTION_DIGESTS = {
-    ((1.0, 2.0, 1.0, 0.5), 7): '4a3f430713ce5a828be2776ceae67f5c9291460253bc010a380d321b199975e3',
-    ((1.0, 2.0, 1.0, 0.5), 8): 'f85ef813c559d82e0992b6debfdffc14a82d76ed26f858002036ca3a7aebdb06',
-    ((5.0, 5.0, 20.0, 1.0), 7): 'b18bbb70f0fde4d64096eb4365574952901b62ee0d886a864bc849f915aafdd3',
-    ((5.0, 5.0, 20.0, 1.0), 8): '15fd4cbbdcf0574c54fd7164bced7e2aad388039643a2b0e459c289abf37493b',
-    ((1.0, 2.0, 1.0, 0.02), 7): '4454d27f1d6b70ccb50a8e75dc17c6628161ddc326aca7b3ef6a07a7de001258',
-    ((1.0, 2.0, 1.0, 0.02), 8): 'da71f254ebc2ef9cdf07d4e7915f1f0589235f47bb41fc23d5008cdf067e5ebe',
+    ((1.0, 2.0, 1.0, 0.5), 7): '59ec5cc1b10fea1e49f13ec7d9d336b338fc70644900205f3f223e26c9f14e66',
+    ((1.0, 2.0, 1.0, 0.5), 8): '474a40d4a5719972f091ac60f879159bb11436f68380f907cd830b3a0ccc3ef3',
+    ((5.0, 5.0, 20.0, 1.0), 7): 'b45ab968e77877fc595795cc60f914ed9e58c92aa8eaedbae46456b15025d5c7',
+    ((5.0, 5.0, 20.0, 1.0), 8): 'ebce497eb0f53d4354fd8e6539e38c3bcef46c9397404403cfeb4f20a8e810de',
+    ((1.0, 2.0, 1.0, 0.02), 7): 'ba7e6bb0c78da2d57a203a878f263211649426533151b2a58e6690d83f47e8ec',
+    ((1.0, 2.0, 1.0, 0.02), 8): 'e9bd9b0bf2e868f88787ce53fbb0d115f9f018ca628e3c7ff384f32bfde532ec',
 }
 
 
@@ -101,6 +101,22 @@ def test_array_absorption_respects_phase_budget():
                         RandomSource(0, 0), N, max_phases=1)
 
 
+def test_array_absorption_budget_is_checked_before_any_phase():
+    # the phase counts come first, so the budget is exactly the largest
+    # of them, and a smaller one raises with only those counts drawn
+    p, s = ModelParams(1.0, 2.0, 1.0), SwitchingProb(0.02)
+    m = _run_absorption(p, s, RandomSource(0, 0), N)[0]
+    out = _run_absorption(p, s, RandomSource(0, 0), N, max_phases=int(m.max()))
+    assert np.array_equal(out[0], m)
+    counts_only = RandomSource(0, 0)
+    counts_only.gen.geometric(s.alpha, N)
+    for budget in (int(m.max()) - 1, 1):
+        rng = RandomSource(0, 0)
+        with pytest.raises(MaxPhasesExceeded):
+            _run_absorption(p, s, rng, N, max_phases=budget)
+        assert rng.gen.bit_generator.state == counts_only.gen.bit_generator.state
+
+
 # Digests of an engine's outputs plus the next 8 uniforms its generator
 # gives afterwards, frozen on the per-round kernel.  The kernel may draw
 # ahead and rewind the generator; these pin that every rewind leaves the
@@ -117,13 +133,13 @@ STREAM_DIGESTS = {
     ("phases", (5.0, 5.0, 20.0), "level", N, 8):
         '074a764f91e1c75cfcebc1f98141834c828c72c6d4fead17c3976b4c588a8b1b',
     ("absorption", (5.0, 5.0, 20.0), 1.0, 64, 7):
-        '147c9d81833ea3fecce64aa950b9e8289b3767e4b64251e8949c9d56b61bf43a',
+        'bd9a676e977832741b141ffc97858ab6b14e63b291568229e5686088b5c0636e',
     ("absorption", (5.0, 5.0, 20.0), 1.0, N, 8):
-        '29f2b54d1339e4a48a05dc0776ffe1810ad7b71fdc1ee4343a9b10395d8b72b1',
+        'f8bad8b5b62efaced9e6450f17e352843bbd42c4edd31a3181ab706e457ce357',
     ("absorption", (1.0, 2.0, 1.0), 0.5, N, 7):
-        '174b3317310a5884c130dd3f28c2640817ba514925ff7b130154418d7dc175e0',
+        'd9155ec9bb259c44d7efe952a5b66906f1e363f2e30acd61f65fd60e2b244ec5',
     ("absorption", (1.0, 2.0, 1.0), 0.02, N, 8):
-        'c5ced68e9c5b538b5ccd56f0efe70e58e2e6a2a9cd3a0264941944194efe9e94',
+        'fa6b68d5b427a2afa3a0ae1356ded72f7ea42b042fd4d33cb07ea2516db7cdb0',
 }
 
 
@@ -141,6 +157,19 @@ def test_engine_outputs_and_generator_position_are_pinned(key):
     rng = RandomSource(seed, 4)
     out = _run(engine, case, arg, n, rng)
     assert _digest((*out, rng.gen.random(8))) == STREAM_DIGESTS[key]
+
+
+def test_round_blocks_with_restarts_match_the_per_round_kernel(monkeypatch):
+    # at (5,5,20,0.1) the 64 lanes draw a few hundred round blocks while
+    # most of them restart; with blocks switched off every round draws alone
+    def run():
+        rng = RandomSource(3, 9)
+        out = _run_absorption(ModelParams(5.0, 5.0, 20.0), SwitchingProb(0.1), rng, 64)
+        return _digest((*out, rng.gen.random(8)))
+
+    blocks = run()
+    monkeypatch.setattr(simulate, "_BLOCK_MIN", 10 ** 9)
+    assert run() == blocks
 
 
 BUFFERED_DIGEST = '0ad9d058739ee0f52bf5b085e2cf0fff54631ba831cc684cc14e365d3513ee71'

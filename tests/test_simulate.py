@@ -17,6 +17,8 @@ from telegraph_box import (
     RandomSource,
     SwitchingProb,
     dual_representation_check,
+    expected_absorption_time,
+    phase_probabilities,
     simulate_phase,
     simulate_until_absorption,
 )
@@ -178,3 +180,20 @@ def test_vector_absorption_alpha_one():
     m, total, _ = _run_absorption(P121, SwitchingProb(1.0), RandomSource(4, 0), 500)
     assert np.all(m == 1)
     assert total.min() > 0.0
+
+
+# About 50 and 20 phases per path, so nearly every lane restarts many
+# times in one kernel call; the alpha = 1 run restarts none.
+@pytest.mark.parametrize("case", [(1.0, 2.0, 1.0, 0.02), (0.3, 3.0, 2.0, 0.05)])
+def test_restart_heavy_absorption_matches_closed_forms(case):
+    n, z_max = 2 ** 16, 4.0
+    p, alpha = ModelParams(*case[:3]), case[3]
+    m, total, _ = _run_absorption(p, SwitchingProb(alpha), RandomSource(12, 0), n)
+    assert m.min() >= 1
+    eta = expected_absorption_time(p, SwitchingProb(alpha)).expected_absorption_time
+    for x, mean in ((m, 1.0 / alpha), (total, eta)):
+        assert abs(x.mean() - mean) < z_max * x.std(ddof=1) / math.sqrt(n), (case, mean)
+    m, _, at_level = _run_absorption(p, SwitchingProb(1.0), RandomSource(12, 1), n)
+    assert np.all(m == 1)
+    p0h = phase_probabilities(p).p0h
+    assert abs(at_level.mean() - p0h) < z_max * math.sqrt(p0h * (1.0 - p0h) / n)
