@@ -110,12 +110,12 @@ class RandomSource:
 
 
 def exp_draw(rate: float, rng: RandomSource, size: int | None = None):
-    """Sample Exp(rate) by inversion: -ln(u)/rate with u in (0, 1].
+    """Sample Exp(rate) as numpy's ziggurat standard exponential over rate.
 
     Returns a float when size is None, else an ndarray of shape (size,).
     """
     if not np.isfinite(rate) or rate <= 0.0:
         raise NonPositiveParameter("rate", rate)
     if size is None:
-        return float(rng.gen.standard_exponential(method="inv")) / rate
-    return rng.gen.standard_exponential(size, method="inv") / rate
+        return float(rng.gen.standard_exponential()) / rate
+    return rng.gen.standard_exponential(size) / rate

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import analytics
+from . import analytics, mgf
 from ._report import render
 from .core import Boundary, ModelParams, RandomSource, SwitchingProb
 from .errors import DomainError
@@ -29,7 +29,7 @@ _QUANTITIES = (
     "p00", "p0h", "ph0", "phh",
     "m00", "m0h", "mh0", "mhh",
     "mean_m", "absorption_time",
-    "wald_half_mu", "wald_minus_one",
+    "f00", "f0h",
 )
 _NQ = len(_QUANTITIES)
 
@@ -74,16 +74,26 @@ class ValidationReport:
     z_max: float
 
 
+def _clock_frequencies(cv) -> tuple[float, float]:
+    """Frequencies omega of the f00 and f0h rows, -1/kappa00 and
+    -1/kappa0h: the transforms are taken about one conditional mean
+    phase duration out, where exp(omega*T) is neither near 1 nor near 0."""
+    return -1.0 / cv.kappa00, -1.0 / cv.kappa0h
+
+
 def _batch_moments(p: ModelParams, s: SwitchingProb, seed: int,
-                   batch: int, size: int) -> np.ndarray:
-    """(count, sum, sum of squares) rows for one batch, shape (_NQ, 3)."""
-    lam, mu = p.lam, p.mu
+                   batch: int, size: int, omega: tuple[float, float]) -> np.ndarray:
+    """(count, sum, sum of squares) rows for one batch, shape (_NQ, 3).
+
+    The f00 and f0h rows are exp(omega*T) on the origin phases that return
+    and on those that cross, with T their dual stopping time t_stop.
+    """
     # first, so that phase counts past the budget fail before any phase
     # is run; each engine has its own stream, so the order changes no value
     cols = {}
     cols["mean_m"], cols["absorption_time"], _ = _run_absorption(
         p, s, RandomSource(seed, 3 * batch + 2), size)
-    endl, dur, _, t_stop, y_stop = _run_phases(
+    endl, dur, _, t_stop, _ = _run_phases(
         Boundary.ORIGIN, p, RandomSource(seed, 3 * batch), size)
     cols |= {
         "p00": ~endl,
@@ -91,8 +101,8 @@ def _batch_moments(p: ModelParams, s: SwitchingProb, seed: int,
         "m00": np.where(~endl, dur, 0.0),
         "m0h": np.where(endl, dur, 0.0),
     }
-    for theta, name in ((mu / 2.0, "wald_half_mu"), (-1.0, "wald_minus_one")):
-        cols[name] = np.exp(theta * y_stop - lam * t_stop * theta / (mu - theta))
+    cols["f00"] = np.where(~endl, np.exp(omega[0] * t_stop), 0.0)
+    cols["f0h"] = np.where(endl, np.exp(omega[1] * t_stop), 0.0)
 
     endl, dur, _, _, _ = _run_phases(
         Boundary.LEVEL, p, RandomSource(seed, 3 * batch + 1), size)
@@ -116,7 +126,7 @@ def _reduce_pairwise(blocks: list[np.ndarray]) -> np.ndarray:
 
 
 def _gather(p: ModelParams, s: SwitchingProb, n_paths: int, seed: int,
-            threads: int | None) -> np.ndarray:
+            threads: int | None, omega: tuple[float, float]) -> np.ndarray:
     if n_paths < 10 ** 3:
         raise DomainError(f"need at least 1000 paths, got {n_paths}")
     if seed < 0:
@@ -128,9 +138,9 @@ def _gather(p: ModelParams, s: SwitchingProb, n_paths: int, seed: int,
     if threads is not None and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             blocks = list(pool.map(
-                lambda job: _batch_moments(p, s, seed, job[0], job[1]), jobs))
+                lambda job: _batch_moments(p, s, seed, job[0], job[1], omega), jobs))
     else:
-        blocks = [_batch_moments(p, s, seed, b, k) for b, k in jobs]
+        blocks = [_batch_moments(p, s, seed, b, k, omega) for b, k in jobs]
     return _reduce_pairwise(blocks)
 
 
@@ -147,8 +157,9 @@ def estimate(p: ModelParams, s: SwitchingProb, n_paths: int, seed: int,
     boundary plus n_paths absorption paths, deterministic in (seed).
     Raises DomainError before simulating where the mean absorption time
     is past float64."""
-    analytics.expected_absorption_time(p, s)
-    mom = _gather(p, s, n_paths, seed, threads)
+    cv = analytics._closed_values(p)
+    analytics._absorption(cv, s.alpha)
+    mom = _gather(p, s, n_paths, seed, threads, _clock_frequencies(cv))
     stats = dict(zip(_QUANTITIES, (_mean_se(row) for row in mom)))
     return MCSummary(
         n_paths=n_paths,
@@ -163,15 +174,21 @@ def estimate(p: ModelParams, s: SwitchingProb, n_paths: int, seed: int,
     )
 
 
-def _analytic_values(p: ModelParams, s: SwitchingProb) -> dict[str, float]:
+def _analytic_values(p: ModelParams, s: SwitchingProb):
+    """Closed-form mean of every row, the exact per-path variance of the
+    f00 and f0h rows, F(2 omega) - F(omega)^2, and their frequencies."""
     cv = analytics._closed_values(p)
-    return {
+    mean = {
         **{name: getattr(cv, name) for name in _QUANTITIES[:8]},
         "mean_m": 1.0 / s.alpha,
         "absorption_time": analytics._absorption(cv, s.alpha).expected_absorption_time,
-        "wald_half_mu": 1.0,
-        "wald_minus_one": 1.0,
     }
+    omega = _clock_frequencies(cv)
+    var = {}
+    for i, (name, w) in enumerate(zip(("f00", "f0h"), omega)):
+        mean[name] = f = mgf.transform_from_origin(w, p)[i]
+        var[name] = max(mgf.transform_from_origin(2.0 * w, p)[i] - f * f, 0.0)
+    return mean, var, omega
 
 
 def validate(p: ModelParams, s: SwitchingProb, n_paths: int, seed: int,
@@ -179,17 +196,21 @@ def validate(p: ModelParams, s: SwitchingProb, n_paths: int, seed: int,
     """Compare every estimable quantity against its closed form.
 
     One record per quantity; overall_pass is true iff every |z| <= z_max.
-    A zero standard error yields z = 0 only on exact agreement.  Raises
-    DomainError unless z_max is finite and positive, and before simulating
-    where a closed form is past float64.
+    The f00 and f0h rows take their standard error from the exact
+    variance, the others from the sample.  A zero standard error yields
+    z = 0 only on exact agreement.  Raises DomainError unless z_max is
+    finite and positive, and before simulating where a closed form is
+    past float64.
     """
     if not (math.isfinite(z_max) and z_max > 0.0):
         raise DomainError(f"z_max must be finite and > 0, got {z_max!r}")
-    analytic = _analytic_values(p, s)
-    mom = _gather(p, s, n_paths, seed, threads)
+    analytic, var, omega = _analytic_values(p, s)
+    mom = _gather(p, s, n_paths, seed, threads, omega)
     records = []
     for name, row in zip(_QUANTITIES, mom):
         mean, se = _mean_se(row)
+        if name in var:
+            se = math.sqrt(var[name] / row[0])
         ref = analytic[name]
         if se == 0.0:
             z = 0.0 if mean == ref else float("inf")

@@ -27,13 +27,13 @@ _REVERSAL_CAP = 10 ** 7
 # |C - (2T +/- H)| must stay below this times max(1, C)
 _DUAL_TOL = 1e-9
 
-# speculative round blocks in the array kernel: a block is sized to about
-# one expected stop, capped in rounds and in draws, and is not worth its
-# fixed cost below _BLOCK_MIN rounds.  The stop hazard it is sized from
-# forgets the past by halving its counts once they hold more than
-# _HAZARD_STOPS stops, so it follows the falling hazard of the lanes left.
+# round blocks in the array kernel: a block spans about twice the rounds
+# a lane takes to its own stop, capped in rounds and in draws, and is not
+# worth its fixed cost below _BLOCK_MIN rounds.  The rounds-per-stop
+# figure it is sized from forgets the past by halving its counts once
+# they hold more than _HAZARD_STOPS stops, so it follows the lanes left.
 _BLOCK_MIN = 8
-_BLOCK_ROUNDS = 256
+_BLOCK_ROUNDS = 1024
 _BLOCK_CELLS = 2 ** 15
 _HAZARD_STOPS = 64
 
@@ -203,21 +203,22 @@ def _run_lanes(from_origin: np.ndarray, phases: np.ndarray, p: ModelParams,
     as _run_phases does; end_is_level is that of a lane's last phase and
     duration the sum of its phases' durations.  All lanes start together
     and reverse every round, so a lane's draws alternate direction with
-    the round parity; a reflection reverses the velocity as a switch
-    does, so a restart keeps that parity.  The rows of st hold the live
-    lanes' position, duration of the current phase, and draws summed over
-    even and over odd rounds, read as up or down totals when a lane
-    retires.  A lane that stops with phases left is restarted in place
-    at its wall; the parity sums then span several phases, so
-    n_switches, t_stop and y_stop hold only for one-phase lanes.  Live
-    lanes are compacted after every round that retires some.
+    the round parity.  The rows of st hold the live lanes' position,
+    duration of the current phase, and draws summed over even and over
+    odd rounds, read as up or down totals when a lane retires.  A lane
+    that stops with phases left is restarted in place at its wall,
+    heading away from it; the parity sums then span several phases, so
+    n_switches, t_stop and y_stop hold only for one-phase lanes.
     _REVERSAL_CAP bounds the rounds of the whole call, restarts included.
 
     When few lanes stop per round, a round costs more in numpy calls than
-    in arithmetic, so the kernel skips ahead with _quiet_rounds over the
-    rounds in which no lane stops, sizing the block from the stops seen
-    so far.  Either way each round takes its draws from the generator in
-    the same order and sums them in the same order.
+    in arithmetic, so the kernel draws a block of rounds for every live
+    lane at once, sized from the rounds a lane has taken to its own stop
+    so far.  Inside a block each lane stops at its own first wall contact
+    and its draws after that are dropped; a lane with phases left waits
+    for the next block.  When no lane runs through the whole block, the
+    generator is put back to where the rounds up to the last stop leave
+    it, so a single lane takes the draws of the round-by-round loop.
     """
     h, lam, mu = p.effective_level, p.lam, p.mu
     gen = rng.gen
@@ -234,120 +235,106 @@ def _run_lanes(from_origin: np.ndarray, phases: np.ndarray, p: ModelParams,
     st = np.zeros((4, n))
     st[0] = np.where(up, 0.0, h)
     rounds = 0
-    # stop hazard, stops per lane-round, starting from one
+    # stops and the lane-rounds spent reaching them, starting from one
     stops = lane_rounds = 1
     while lane.size:
         if rounds == _REVERSAL_CAP:
             raise ReversalCapExceeded(_REVERSAL_CAP)
         k = lane.size
-        block = min(int(lane_rounds / (stops * k)), _BLOCK_ROUNDS, _BLOCK_CELLS // k,
-                    _REVERSAL_CAP - rounds) // 2 * 2
+        block = min(int(2 * lane_rounds / stops), _BLOCK_ROUNDS, _BLOCK_CELLS // k) // 2 * 2
         if block < _BLOCK_MIN:
-            draw = gen.standard_exponential(k, method="inv") / np.where(up, lam, mu)
+            draw = gen.standard_exponential(k) / np.where(up, lam, mu)
+            row = 2 + rounds % 2
+            st[row] += draw
+            gap = np.where(up, h - st[0], st[0])
+            at = np.flatnonzero(draw >= gap)
+            if at.size:
+                t = rounds
+                end_up = up.take(at)
+                phase_time = st[1].take(at) + gap.take(at)
+                same, other = st[row].take(at), st[5 - row].take(at)
+            st[1] += draw
+            st[0] += np.where(up, draw, -draw)
+            up = ~up
+            used = 1
+            lane_rounds += k
         else:
-            quiet, draw, up, st = _quiet_rounds(gen, block, rounds, h, lam, mu, up, st)
-            rounds += quiet
-            lane_rounds += quiet * k
-        row = 2 + rounds % 2
-        st[row] += draw
-        gap = np.where(up, h - st[0], st[0])
-        hit = draw >= gap
-        lane_rounds += k
-        if hit.any():
-            at = np.flatnonzero(hit)
+            saved = gen.bit_generator.state
+            going_up = np.stack((up, ~up))      # by the parity of a block row
+            # pair i holds block rows 2i and 2i+1
+            draws = gen.standard_exponential(block * k).reshape(-1, 2, k)
+            draws /= np.where(going_up, lam, mu)
+            # row i of track is the position at the start of block row i
+            track = np.empty((block + 1, k))
+            track[0] = st[0]
+            np.multiply(draws, np.where(going_up, 1.0, -1.0), out=track[1:].reshape(-1, 2, k))
+            np.cumsum(track, axis=0, out=track)
+            draws = draws.reshape(block, k)
+            start = track[:-1].reshape(-1, 2, k)
+            hit = draws >= np.where(going_up, h - start, start).reshape(block, k)
+            first = hit.argmax(axis=0)
+            at = np.flatnonzero(hit[first, np.arange(k)])
+            t = first.take(at)
+            lane_rounds += int(t.sum()) + at.size + (k - at.size) * block
+            used = block
+            if at.size == k:
+                used = int(t.max()) + 1
+                gen.bit_generator.state = saved
+                gen.standard_exponential(used * k)
+            if rounds + used > _REVERSAL_CAP:
+                raise ReversalCapExceeded(_REVERSAL_CAP)
+            # duration and the two parity totals, summed row after row as
+            # the per-round path sums them; column 0 of tot is the parity
+            # of even block rows, the parity of round `rounds`
+            dur = np.empty((used + 1, k))
+            dur[0] = st[1]
+            dur[1:] = draws[:used]
+            np.cumsum(dur, axis=0, out=dur)
+            pairs = (used + 1) // 2
+            parity = [2 + rounds % 2, 3 - rounds % 2]
+            tot = np.empty((pairs + 1, 2, k))
+            tot[0] = st[parity]
+            tot[1:] = draws[:2 * pairs].reshape(pairs, 2, k)
+            np.cumsum(tot, axis=0, out=tot)
+            odd = t % 2
+            end_up = going_up[odd, at]
+            pos = track[t, at]
+            phase_time = dur[t, at] + np.where(end_up, h - pos, pos)
+            same, other = tot[t // 2 + 1, odd, at], tot[t // 2 + odd, 1 - odd, at]
+            t = t + rounds
+            if used == block:
+                st[0], st[1], st[parity] = track[-1], dur[-1], tot[-1]
+        rounds += used
+        if at.size:
             stops += at.size
             if stops > _HAZARD_STOPS:
                 stops, lane_rounds = stops / 2, lane_rounds / 2
             fin = lane.take(at)
-            duration[fin] += st[1].take(at) + gap.take(at)
+            duration[fin] += phase_time
+            end_level[fin] = end_up
+            n_switches[fin] = t
+            # the parity other than the last draw's holds the down total on
+            # an upward hit and the up total on a downward one; the dual
+            # clock of an origin-to-level crossing still owes the level offset
+            t_stop[fin] = other + np.where(end_up & from_origin.take(fin), h, 0.0)
+            y_stop[fin] = np.where(end_up, other, same)
             if restarts:
-                # a lane with phases left restarts at the wall it hit; a
-                # zero draw keeps it there through the velocity flip that
-                # ends the round
+                # what was just recorded for a lane with phases left is
+                # overwritten when its last phase ends
                 more = left.take(fin) > 1
                 again = at[more]
                 restarts -= again.size
                 left[fin[more]] -= 1
-                hit[again] = False
-                draw[again] = 0.0
-                st[0, again] = h * up.take(again)
+                st[0, again] = h * end_up[more]
                 st[1, again] = 0.0
-                at, fin = at[~more], fin[~more]
-            end_up = up.take(at)
-            end_level[fin] = end_up
-            n_switches[fin] = rounds
-            # the other parity holds the down total on an upward hit and
-            # the up total on a downward one; the dual clock of an
-            # origin-to-level crossing still owes the level offset
-            base = st[5 - row].take(at)
-            t_stop[fin] = base + np.where(end_up & from_origin.take(fin), h, 0.0)
-            y_stop[fin] = np.where(end_up, base, st[row].take(at))
-            keep = np.flatnonzero(~hit)
-            lane, up, draw = lane.take(keep), up.take(keep), draw.take(keep)
+                up[again] = ~end_up[more]
+                at = at[~more]
+            keep = np.ones(k, dtype=bool)
+            keep[at] = False
+            keep = np.flatnonzero(keep)
+            lane, up = lane.take(keep), up.take(keep)
             st = st.take(keep, axis=1)
-        st[1] += draw
-        st[0] += np.where(up, draw, -draw)
-        up = ~up
-        rounds += 1
     return end_level, duration, n_switches, t_stop, y_stop
-
-
-def _quiet_rounds(gen, block, rounds, h, lam, mu, up, st):
-    """Draw the next `block` rounds (an even number) of every lane at once
-    and advance the lanes over the leading rounds in which none stops;
-    the parity of `rounds`, the rounds done, picks the rows of st they
-    add to.
-
-    Returns (quiet, draw, up, st): the number of rounds skipped, then the
-    draws and lane state of the round after them, which either stops a
-    lane or is the block's last; the caller finishes that round.  One
-    call of block*k draws gives the same numbers as block calls of k, and
-    cumulative sums add them in the per-round order, so every value is
-    the one the round-by-round loop computes.  The generator is stepped
-    back over the draws of the rounds not used.
-    """
-    k = up.size
-    going_up = np.stack((up, ~up))      # by round parity
-    # pair i holds rounds 2i and 2i+1
-    draws = gen.standard_exponential(block * k, method="inv").reshape(-1, 2, k)
-    draws /= np.where(going_up, lam, mu)
-    # row t of track is the position at the start of round t
-    track = np.empty((block + 1, k))
-    track[0] = st[0]
-    np.multiply(draws, np.where(going_up, 1.0, -1.0), out=track[1:].reshape(-1, 2, k))
-    np.cumsum(track, axis=0, out=track)
-    start = track[:-1].reshape(-1, 2, k)
-    hit = draws >= np.where(going_up, h - start, start)
-    stopping = np.flatnonzero(hit.reshape(block, k).any(axis=1))
-    quiet = int(stopping[0]) if stopping.size else block - 1
-    _rewind(gen.bit_generator, (block - quiet - 1) * k)
-    draws = draws.reshape(block, k)
-    st[0] = track[quiet]
-    if quiet:
-        # duration and the two parity totals; adding the zeros of the
-        # other parity leaves a total unchanged
-        sums = np.zeros((quiet + 1, 3, k))
-        sums[0] = st[1:]
-        sums[1:, 0] = draws[:quiet]
-        sums[1::2, 1 + rounds % 2] = draws[0:quiet:2]
-        sums[2::2, 2 - rounds % 2] = draws[1:quiet:2]
-        np.cumsum(sums, axis=0, out=sums)
-        st[1:] = sums[-1]
-    return quiet, draws[quiet], going_up[quiet % 2], st
-
-
-def _rewind(bitgen, steps: int) -> None:
-    """Step a bit generator back over `steps` 64-bit draws; the PCG64
-    generator of RandomSource spends one step per double.  advance()
-    drops a buffered 32-bit half word, so it is put back."""
-    if not steps:
-        return
-    before = bitgen.state
-    bitgen.advance(-steps)
-    if before["has_uint32"]:
-        after = bitgen.state
-        after["has_uint32"], after["uinteger"] = 1, before["uinteger"]
-        bitgen.state = after
 
 
 def _run_phases(start: Boundary, p: ModelParams, rng: RandomSource, n: int):

@@ -277,7 +277,7 @@ def test_tables_print_twelve_digits(capsys):
     lines = out.splitlines()
     assert lines[0].split() == ["name", "analytic", "estimate",
                                 "standard_error", "z_score"]
-    assert lines[2].split()[3:] == ["0.00344200056194", "-0.46489336388"]
+    assert lines[2].split()[3:] == ["0.00344332402251", "-0.232381040671"]
     assert lines[-1] == "overall: PASS (n=20000, seed=11, z_max=4)"
 
 
@@ -354,16 +354,16 @@ GOLDEN = {
         "5b18de18188e017b1796ba10b8ae1da3f09787e68d2640916998c618ace3fbe9"),
     "simulate": (
         0,
-        "37f9a3d53e4758b556ea5e3113d2259d4c64d2bd7c1190174104377783000005",
-        "e70c7387cc8cafd46bdcb26f6d90edc0b583295cc14297550afe2b95be363e24"),
+        "336349ecb8615d6f76cbe82b00643e08df544f35ccea8bae681919e222a3ec06",
+        "12779021839ba87121f11c7ad1c2fd4f13b7013719d469ac2c7ca634cbe3c3d9"),
     "validate-pass": (
         0,
-        "1364052b021711604c2acdcd0f4506dd449a14080645e0e9614d787373767dcd",
-        "35ced253fd73942206ad7b2970503c63c674cdc2dd8ec19e8fc455bfd113e711"),
+        "2f46ba1730a6cd95e7bbd3bcc2b3ee8d573a536af6d3787b951e2d54e7eff985",
+        "050bc3b3d1ed72d4d2ef3fdc1cea528281aea406f3d0dba68f62b4f451aa7492"),
     "validate-fail": (
         1,
-        "33ecb9457e951d99194d61bf09ac2013de70d52617d4e05cec7fd7197db3c04b",
-        "35ced253fd73942206ad7b2970503c63c674cdc2dd8ec19e8fc455bfd113e711"),
+        "405155804d668e83f28535031f1d48c2602a27267e05ca43dce13b548f989c6a",
+        "050bc3b3d1ed72d4d2ef3fdc1cea528281aea406f3d0dba68f62b4f451aa7492"),
     "scaling": (
         0,
         "d37bcc58267889d16cf38d8086b077aec5d3750936b166cba223eeca11c4c5ad",

@@ -48,30 +48,30 @@ def _digest(arrays) -> str:
 # (origin start, level start) per (case, seed)
 PHASE_DIGESTS = {
     ((1.0, 2.0, 1.0), 7): (
-        '569b8978704330863897af0fa3cafe8173af20088848ac84d1491cda81c42b6b',
-        '91d16201eecafa2bdff2dea56e5c5acf4159fcfc87f36cb1d3ce46df52777e10',
+        '486a81f2a56fb23fad74d483c827d89c61f512ffbecbdcb3703303677ae96b46',
+        '35f55cb3057fd43de5257796b1d4e360be400439dd6f85e1c6c64923d90c1257',
     ),
     ((1.0, 2.0, 1.0), 8): (
-        'c6069f3a9b1b61ec7f465f91b80fc0eccc4bfa7f88d7f12f01e17aa6aa79b389',
-        '737c2d9a342dad8b2081cbf8e7f79cf67380446664711f5b5e1d6caae5939210',
+        '2025e72d9c05f9b6bf2bb75653f21dd76080c0b76fd0f5e9ebc9b56038b6e4ff',
+        '16454207d1111e6f46230a981b6a3d9ad50ec4e6e51700312c5300080bef0059',
     ),
     ((5.0, 5.0, 20.0), 7): (
-        '581447f3ebe7bccb9b2e6ce1e6737d6d68b6f59b9c0e981bec7fd12b1821bdb4',
-        'd955964b638b1b48d9e541fbd432d37c0632c7e832abd1d40494dbaa9f34a87e',
+        'd5f7a21d409d40d28b6dddc6f40ae9149377200185ee3a7e6954c5ad6c3c1c0a',
+        '07f7ea62afc0c9f184fc85de5765b97553466388c8834c11d78bb33c5990bed4',
     ),
     ((5.0, 5.0, 20.0), 8): (
-        '3bebf43391da6e6a1a0aa40572445c1ec98a32b3a96a568f6a80a672b795f232',
-        '8baaf48abb78c9e53d52e3a31f554504d5ad13ce8017892df059835c645e3133',
+        '16998e9977dde97cc4bcbb8042d279678625be181fc04cead766fc1d8e34fe1d',
+        'eebe823fbb15ed6c96ebd980f70333765c4b0d8d42347f151f463e0c2afcecc0',
     ),
 }
 
 ABSORPTION_DIGESTS = {
-    ((1.0, 2.0, 1.0, 0.5), 7): '59ec5cc1b10fea1e49f13ec7d9d336b338fc70644900205f3f223e26c9f14e66',
-    ((1.0, 2.0, 1.0, 0.5), 8): '474a40d4a5719972f091ac60f879159bb11436f68380f907cd830b3a0ccc3ef3',
-    ((5.0, 5.0, 20.0, 1.0), 7): 'b45ab968e77877fc595795cc60f914ed9e58c92aa8eaedbae46456b15025d5c7',
-    ((5.0, 5.0, 20.0, 1.0), 8): 'ebce497eb0f53d4354fd8e6539e38c3bcef46c9397404403cfeb4f20a8e810de',
-    ((1.0, 2.0, 1.0, 0.02), 7): 'ba7e6bb0c78da2d57a203a878f263211649426533151b2a58e6690d83f47e8ec',
-    ((1.0, 2.0, 1.0, 0.02), 8): 'e9bd9b0bf2e868f88787ce53fbb0d115f9f018ca628e3c7ff384f32bfde532ec',
+    ((1.0, 2.0, 1.0, 0.5), 7): '00d268c0effadd4063da1d4dcdbe1e8e155d21c60f7ee5189a3cf8389547b1bc',
+    ((1.0, 2.0, 1.0, 0.5), 8): '647e5d9a5dcb25630a33c16cf488927b37ea151c5aa87438112d38cfc4be0dc6',
+    ((5.0, 5.0, 20.0, 1.0), 7): '7b764ef69d81e2b44abd610c333ea1dd05e9f28c5ee84bf2091a29b21413adb0',
+    ((5.0, 5.0, 20.0, 1.0), 8): 'd05265edb79a0db816d3dc1e4f72225cf456d93bcfe8b7ec6fd69e5ee2b4489d',
+    ((1.0, 2.0, 1.0, 0.02), 7): '232129dc9dc87f34900a602aae4d50dfa9c439a7c8b6f33ce5996346e640074e',
+    ((1.0, 2.0, 1.0, 0.02), 8): '44b60eff6cea94a914a95c19b438c643aa4aad9b7d56fa9a3a8d348e5dc3fbf3',
 }
 
 
@@ -118,28 +118,27 @@ def test_array_absorption_budget_is_checked_before_any_phase():
 
 
 # Digests of an engine's outputs plus the next 8 uniforms its generator
-# gives afterwards, frozen on the per-round kernel.  The kernel may draw
-# ahead and rewind the generator; these pin that every rewind leaves the
-# generator exactly where the per-round kernel left it.  The n = 64 cases
-# at (5,5,20) spend almost every round in the few-lane tail.
+# gives afterwards.  The kernel draws round blocks ahead and may put the
+# generator back; these pin where it leaves the generator.  The n = 64
+# cases at (5,5,20) spend almost every round in round blocks.
 # (engine, case, start or alpha, n, seed) -> digest
 STREAM_DIGESTS = {
     ("phases", (5.0, 5.0, 20.0), "origin", 64, 7):
-        '2a91c303bca16e130a38c80b8e1e1e02d9eb53551261e8d15f3e5ad56084cf3c',
+        '11fc14031bdacdb792a63052c4802c5c6fbe0e63d5c3e04dc3ddf7192c1f287d',
     ("phases", (5.0, 5.0, 20.0), "level", 64, 8):
-        'f94a05c9f1c484da2cdc711b16e3b02bb2ada94582739266e6d7b5fabf04f169',
+        '707a54a53e239ec921ba3ad30ef3cc5367126f19f075da897fd2a07fc8694afe',
     ("phases", (1.0, 2.0, 1.0), "origin", N, 7):
-        '543d02c1db3935e3cb3146cf8bad49ccb3b4282e0d261200c30740c9b9fc2418',
+        '97a2b28688be11f3a246d992544bf5c1cd9fbe2fc2f1b05e18a243792a495093',
     ("phases", (5.0, 5.0, 20.0), "level", N, 8):
-        '074a764f91e1c75cfcebc1f98141834c828c72c6d4fead17c3976b4c588a8b1b',
+        '2b3c4648728ed775e8ad4beb583bd3aa7664d8558489e9dd0cd67ffb41a3e737',
     ("absorption", (5.0, 5.0, 20.0), 1.0, 64, 7):
-        'bd9a676e977832741b141ffc97858ab6b14e63b291568229e5686088b5c0636e',
+        '926e6e9fe9825447514556245f0d593513865b2f299a7c60caf596a260faad18',
     ("absorption", (5.0, 5.0, 20.0), 1.0, N, 8):
-        'f8bad8b5b62efaced9e6450f17e352843bbd42c4edd31a3181ab706e457ce357',
+        'ee2f3bb76c345cd71de00b27c0c7b0aa5790dbc15d732b16a7757a6785f529ec',
     ("absorption", (1.0, 2.0, 1.0), 0.5, N, 7):
-        'd9155ec9bb259c44d7efe952a5b66906f1e363f2e30acd61f65fd60e2b244ec5',
+        '66dd29627c1340a82333a1a0f91617ba0425b5e7a4e94083194dfcbdf417bed6',
     ("absorption", (1.0, 2.0, 1.0), 0.02, N, 8):
-        'fa6b68d5b427a2afa3a0ae1356ded72f7ea42b042fd4d33cb07ea2516db7cdb0',
+        '47f3ba691d3cfda20634fcad87659f3f3da15f3200c0d9471cea2dcc32374e69',
 }
 
 
@@ -159,20 +158,31 @@ def test_engine_outputs_and_generator_position_are_pinned(key):
     assert _digest((*out, rng.gen.random(8))) == STREAM_DIGESTS[key]
 
 
-def test_round_blocks_with_restarts_match_the_per_round_kernel(monkeypatch):
-    # at (5,5,20,0.1) the 64 lanes draw a few hundred round blocks while
-    # most of them restart; with blocks switched off every round draws alone
-    def run():
-        rng = RandomSource(3, 9)
-        out = _run_absorption(ModelParams(5.0, 5.0, 20.0), SwitchingProb(0.1), rng, 64)
-        return _digest((*out, rng.gen.random(8)))
+# A single lane takes the draws of the round-by-round loop at any block
+# size: a block it stops in is cut back to the rounds it used, so its
+# outputs and the generator's position, a buffered 32-bit half word
+# included, do not depend on _BLOCK_MIN.  At (5,5,20,0.1) a lane restarts
+# about ten times, at (1,2,1,0.02) about fifty.
+@pytest.mark.parametrize("case", [(5.0, 5.0, 20.0, 0.1), (5.0, 5.0, 20.0, 1.0),
+                                  (1.0, 2.0, 1.0, 0.02)])
+def test_one_lane_does_not_depend_on_the_block_size(monkeypatch, case):
+    p, s = ModelParams(*case[:3]), SwitchingProb(case[3])
 
-    blocks = run()
-    monkeypatch.setattr(simulate, "_BLOCK_MIN", 10 ** 9)
-    assert run() == blocks
+    def run(seed, block_min):
+        monkeypatch.setattr(simulate, "_BLOCK_MIN", block_min)
+        rng = RandomSource(seed, 6)
+        head = rng.gen.integers(2 ** 32, dtype=np.uint32)
+        out = _run_absorption(p, s, rng, 1)
+        return _digest((np.atleast_1d(head), *out)), rng.gen.bit_generator.state
+
+    default = simulate._BLOCK_MIN
+    for seed in range(200):
+        blocks = run(seed, 2)
+        assert run(seed, default) == blocks, (case, seed)
+        assert run(seed, 10 ** 9) == blocks, (case, seed)
 
 
-BUFFERED_DIGEST = '0ad9d058739ee0f52bf5b085e2cf0fff54631ba831cc684cc14e365d3513ee71'
+BUFFERED_DIGEST = '83b056186e7725898f679d0b8cd0188da3e3bd83b7abf7c8a3179502830305b3'
 
 
 def test_engine_keeps_a_buffered_half_word():

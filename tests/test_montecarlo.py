@@ -12,6 +12,8 @@ from telegraph_box import (
     ModelParams,
     SwitchingProb,
     estimate,
+    expected_cycles,
+    transform_from_origin,
     validate,
     validation_report_json,
     validation_report_table,
@@ -107,8 +109,16 @@ def test_validate_record_consistency():
     by_name = {r.name: r for r in rep.records}
     assert math.isclose(by_name["p00"].analytic, 0.38730016321971794, rel_tol=1e-12)
     assert by_name["mean_m"].analytic == 2.0
-    assert by_name["wald_half_mu"].analytic == 1.0
-    assert by_name["wald_minus_one"].analytic == 1.0
+    # f00 and f0h are the origin transforms at omega = -1/kappa, with
+    # the exact standard error sqrt((F(2 omega) - F(omega)^2)/n)
+    cm = expected_cycles(P121)
+    for i, (name, kappa) in enumerate((("f00", cm.kappa00), ("f0h", cm.kappa0h))):
+        f = transform_from_origin(-1.0 / kappa, P121)[i]
+        f2 = transform_from_origin(-2.0 / kappa, P121)[i]
+        assert by_name[name].analytic == f
+        assert by_name[name].standard_error == math.sqrt((f2 - f * f) / 20000)
+    assert math.isclose(by_name["f00"].analytic, 0.2554852607293556, rel_tol=1e-12)
+    assert math.isclose(by_name["f0h"].analytic, 0.25351857059769045, rel_tol=1e-12)
     for r in rep.records:
         if r.standard_error > 0.0:
             want = (r.estimate - r.analytic) / r.standard_error

@@ -197,3 +197,29 @@ def test_restart_heavy_absorption_matches_closed_forms(case):
     assert np.all(m == 1)
     p0h = phase_probabilities(p).p0h
     assert abs(at_level.mean() - p0h) < z_max * math.sqrt(p0h * (1.0 - p0h) / n)
+
+
+# At (5,5,20), r*H = 100: a phase averages about 100 rounds with a tail
+# past 10^4, so nearly every lane stops inside a round block of its own.
+# No acceptance criterion reaches this regime (their r*H is at most 5).
+@pytest.mark.parametrize("start", [Boundary.ORIGIN, Boundary.LEVEL])
+def test_round_blocks_match_closed_forms_at_high_reversal(start):
+    n, z_max = 2 ** 16, 4.0
+    p = ModelParams(5.0, 5.0, 20.0)
+    h = p.effective_level
+    end, dur, nsw, t_stop, y_stop = _run_phases(start, p, RandomSource(13, 0), n)
+    assert nsw.min() >= 0
+    # the last draw points at the wall hit, and draws alternate from the
+    # first, which leaves the start
+    origin = start is Boundary.ORIGIN
+    assert np.array_equal(end, (nsw % 2 == 0) == origin)
+    pm = phase_probabilities(p)
+    want = pm.p0h if start is Boundary.ORIGIN else pm.phh
+    assert abs(end.mean() - want) < z_max * math.sqrt(want * (1.0 - want) / n)
+    # dual identity on every path: C = 2T on returns, 2T - H on a crossing
+    # from the origin (t_stop carries the offset), 2T + H from the level
+    crossing = end == origin
+    offset = np.where(crossing, -h if origin else h, 0.0)
+    assert np.all(np.abs(dur - (2.0 * t_stop + offset)) < 1e-9 * np.maximum(1.0, dur))
+    if origin:
+        assert np.all(np.abs(t_stop[end] - y_stop[end] - h) < 1e-12 * h)
