@@ -9,9 +9,9 @@ Bernoulli(alpha) boundary switching.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
-from . import _forms
 from .core import Boundary, ModelParams, SwitchingProb
 from .errors import InvalidIndex, float64_result
 
@@ -79,28 +79,70 @@ class AbsorptionReport:
     expected_absorption_time: float
 
 
-def _closed_values(p: ModelParams) -> _forms.ClosedValues:
-    return _forms.closed_values(p.lam, p.mu, p.effective_level)
-
-
-def _select(cls, cv: _forms.ClosedValues):
+def _select(cls, p: ModelParams):
     # each result type holds the ClosedValues fields of the same names
-    return cls(*(getattr(cv, f.name) for f in fields(cls)))
+    return cls(*(getattr(p._closed, f.name) for f in fields(cls)))
 
 
 def phase_probabilities(p: ModelParams) -> PhaseMatrix:
     """Outcome probabilities of the four phase types."""
-    return _select(PhaseMatrix, _closed_values(p))
+    return _select(PhaseMatrix, p)
 
 
 def expected_truncated_times(p: ModelParams) -> TruncatedTimeMeans:
     """Restricted means of the dual stopping times, one per phase type."""
-    return _select(TruncatedTimeMeans, _closed_values(p))
+    return _select(TruncatedTimeMeans, p)
 
 
 def expected_cycles(p: ModelParams) -> CycleMeans:
     """Unconditional and conditional mean phase durations."""
-    return _select(CycleMeans, _closed_values(p))
+    return _select(CycleMeans, p)
+
+
+def _theta_powers(s: float, j: int) -> tuple[float, float]:
+    """(theta^j, 1 - theta^j) at theta = 1 - s, for j >= 1.
+
+    Formed as exp and -expm1 of j*log|theta|, with log1p(-s) for theta > 0,
+    so that a theta that rounds to 1 keeps its distance from 1; for
+    theta < 0, 1 - s is exact and the sign follows the parity of j.  A j
+    past float64 reads as inf.
+    """
+    if s == 1.0:
+        return 0.0, 1.0
+    lg = math.log1p(-s) if s < 1.0 else math.log(s - 1.0)
+    try:
+        x = j * lg
+    except OverflowError:
+        x = -math.inf if lg else 0.0        # lg <= 0
+    if s > 1.0 and j % 2:
+        return -math.exp(x), 1.0 + math.exp(x)
+    return math.exp(x), 0.0 - math.expm1(x)     # not -0.0 at x = 0
+
+
+# 1/(k+2)! for k < 17, the series of _gap_sum: the first term left out
+# is below 1e-18 of the sum
+_GAP_SERIES = tuple(1.0 / math.factorial(k + 2) for k in range(17))
+
+
+def _gap_sum(s: float, n: int) -> float:
+    """sum_{k<n} (1 - theta^k) at theta = 1 - s, for n >= 1.
+
+    n - (1 - theta^n)/s cancels as theta nears 1.  Below n*s = 1/2 the
+    sum is b(b - a)/s * sum_k h_k/(k+2)! instead, with a = log theta,
+    b = n*a and h_k = (b^(k+1) - a^(k+1))/(b - a): the difference of the
+    phi_1 functions at a and b, whose terms shrink like b^k/(k+2)!.
+    """
+    if s >= 1.0 or n >= 0.5 / s:
+        return n - _theta_powers(s, n)[1] / s
+    a = math.log1p(-s)
+    b = n * a
+    h = ak = 1.0
+    total = _GAP_SERIES[0]
+    for c in _GAP_SERIES[1:]:
+        ak *= a
+        h = b * h + ak                       # h_k = b h_{k-1} + a^k
+        total += h * c
+    return b * (b - a) * total / s
 
 
 @float64_result("phase-chain powers")
@@ -109,18 +151,20 @@ def matrix_power(pm: PhaseMatrix, j: int) -> PhaseMatrix:
 
     The chain has eigenvalues 1 and theta = p00 + phh - 1, so
     P^j = S + theta^j * (I - S) with S the rank-one stationary projector.
-    j = 0 gives the identity.
+    j = 0 gives exactly the identity, and a j past float64 the limit S.
     """
     if j < 0:
         raise InvalidIndex(f"matrix power needs j >= 0, got {j}")
+    if j == 0:
+        return PhaseMatrix(1.0, 0.0, 0.0, 1.0)
     s = pm.p0h + pm.ph0
-    vj = (1.0 - s) ** j                 # exactly 1 at j = 0
+    vj, wj = _theta_powers(s, j)
     stat0, stath = pm.ph0 / s, pm.p0h / s
     return PhaseMatrix(
-        p00=stat0 + vj * (1.0 - stat0),
-        p0h=stath - vj * stath,
-        ph0=stat0 - vj * stat0,
-        phh=stath + vj * (1.0 - stath),
+        p00=stat0 + vj * stath,
+        p0h=stath * wj,
+        ph0=stat0 * wj,
+        phh=stath + vj * stat0,
     )
 
 
@@ -135,17 +179,19 @@ def q_sum(pm: PhaseMatrix, i: int, m: int, u: Boundary, v: Boundary) -> float:
         raise InvalidIndex(f"q_sum needs i >= 0, got {i}")
     if m < i:
         return 0.0
-    res = 1.0 if u is v else 0.0
     if i == 0:
         # peel the identity term off so the j=0 convention is exact
-        return res + q_sum(pm, 1, m, u, v)
+        return float(u is v) + q_sum(pm, 1, m, u, v)
     s = pm.p0h + pm.ph0
-    vart = 1.0 - s
-    n_terms = m - i + 1
-    # sum_{j=i}^{m} vart^j = vart^i * (1 - vart^{n_terms}) / (1 - vart)
-    geo = vart ** i * (1.0 - vart ** n_terms) / s
-    stat = (pm.ph0 if v is Boundary.ORIGIN else pm.p0h) / s
-    return n_terms * stat + geo * (res - stat)
+    n = m - i + 1
+    vi, wi = _theta_powers(s, i)
+    stat0, stath = pm.ph0 / s, pm.p0h / s
+    stat, other = (stat0, stath) if v is Boundary.ORIGIN else (stath, stat0)
+    if u is not v:
+        # stat times sum_{j=i}^{m} (1 - theta^j), a sum of terms >= 0
+        return stat * (n * wi + vi * _gap_sum(s, n))
+    # sum_{j=i}^{m} theta^j = theta^i * (1 - theta^n) / (1 - theta)
+    return n * stat + vi * _theta_powers(s, n)[1] / s * other
 
 
 @float64_result("expected phase lengths")
@@ -158,18 +204,29 @@ def expected_length_L(p: ModelParams, n: int) -> float:
     """
     if n < 1:
         raise InvalidIndex(f"expected_length_L needs n >= 1, got {n}")
-    cv = _closed_values(p)
-    pm = _select(PhaseMatrix, cv)
+    cv = p._closed
+    pm = _select(PhaseMatrix, p)
     l1 = cv.m00 + cv.m0h
     l1s = cv.mh0 + cv.mhh
-    # at n = 1 both sums are empty, 0.0, and L_1 = l1 exactly
+    # at n = 1 both sums are empty, 0.0, and L_1 = l1 exactly; the bare
+    # sums, so that an n past float64 fails naming n, not their i and m
+    qs = q_sum.__wrapped__
     return (l1
-            + l1 * q_sum(pm, 1, n - 1, Boundary.ORIGIN, Boundary.ORIGIN)
-            + l1s * q_sum(pm, 1, n - 1, Boundary.ORIGIN, Boundary.LEVEL))
+            + l1 * qs(pm, 1, n - 1, Boundary.ORIGIN, Boundary.ORIGIN)
+            + l1s * qs(pm, 1, n - 1, Boundary.ORIGIN, Boundary.LEVEL))
 
 
 @float64_result("expected absorption times")
-def _absorption(cv: _forms.ClosedValues, alpha: float) -> AbsorptionReport:
+def expected_absorption_time(p: ModelParams, s: SwitchingProb) -> AbsorptionReport:
+    """Mean time until absorption for a path started at the origin.
+
+    The number of phases is Geometric(alpha), so the mean is
+    alpha * sum_n L_n (1-alpha)^(n-1); the geometric structure of the
+    phase chain collapses the series to two terms.  alpha = 1 returns
+    exactly the single-phase mean l1.  Raises DomainError where the mean
+    is past float64.
+    """
+    cv, alpha = p._closed, s.alpha
     l1 = cv.m00 + cv.m0h
     l1s = cv.mh0 + cv.mhh
     vart = cv.p00 + cv.phh - 1.0
@@ -181,15 +238,3 @@ def _absorption(cv: _forms.ClosedValues, alpha: float) -> AbsorptionReport:
         eta = ((l1 * cv.ph0 + l1s * cv.p0h) / (alpha * ssum)
                + cv.p0h * (l1 - l1s) / (ssum * (1.0 - (1.0 - alpha) * vart)))
     return AbsorptionReport(l1, l1s, vart, eta)
-
-
-def expected_absorption_time(p: ModelParams, s: SwitchingProb) -> AbsorptionReport:
-    """Mean time until absorption for a path started at the origin.
-
-    The number of phases is Geometric(alpha), so the mean is
-    alpha * sum_n L_n (1-alpha)^(n-1); the geometric structure of the
-    phase chain collapses the series to two terms.  alpha = 1 returns
-    exactly the single-phase mean l1.  Raises DomainError where the mean
-    is past float64.
-    """
-    return _absorption(_closed_values(p), s.alpha)

@@ -121,12 +121,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_analytics(ns: argparse.Namespace) -> tuple[str, int]:
     p = ModelParams(ns.lam, ns.mu, ns.h, ns.velocity)
     s = SwitchingProb(ns.alpha)
-    cv = analytics._closed_values(p)
     doc = {
-        "phase_probabilities": asdict(analytics._select(analytics.PhaseMatrix, cv)),
-        "truncated_time_means": asdict(analytics._select(analytics.TruncatedTimeMeans, cv)),
-        "cycle_means": asdict(analytics._select(analytics.CycleMeans, cv)),
-        "absorption": asdict(analytics._absorption(cv, s.alpha)),
+        "phase_probabilities": asdict(analytics.phase_probabilities(p)),
+        "truncated_time_means": asdict(analytics.expected_truncated_times(p)),
+        "cycle_means": asdict(analytics.expected_cycles(p)),
+        "absorption": asdict(analytics.expected_absorption_time(p, s)),
     }
     return render(doc, ns.fmt), 0
 

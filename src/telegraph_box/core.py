@@ -14,9 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
+from . import _forms
 from .errors import AlphaOutOfRange, DomainError, NonPositiveParameter
 
 
@@ -37,6 +39,7 @@ class ModelParams:
     velocity : constant speed c, length/time (default 1)
 
     Construction runs validate_params, so an invalid instance cannot exist.
+    Each instance evaluates its closed forms once, on first use.
     """
 
     lam: float
@@ -51,6 +54,11 @@ class ModelParams:
     def effective_level(self) -> float:
         # level seen by the equivalent unit-speed process
         return self.h / self.velocity
+
+    @cached_property
+    def _closed(self) -> _forms.ClosedValues:
+        # per instance, not keyed by value; a DomainError is not cached
+        return _forms.closed_values(self.lam, self.mu, self.effective_level)
 
 
 @dataclass(frozen=True)

@@ -33,9 +33,9 @@ class DomainError(TelegraphBoxError):
 
 
 def float64_result(what: str):
-    """Make fn raise DomainError, naming its numeric and ModelParams
-    arguments, where float64 cannot hold its value: on OverflowError,
-    ZeroDivisionError, or inf or nan in a float, tuple or dataclass result."""
+    """Make fn raise DomainError, naming its numeric, ModelParams and
+    SwitchingProb arguments, where float64 cannot hold its value: on
+    OverflowError, ZeroDivisionError, or inf or nan in its result."""
     def wrap(fn):
         @functools.wraps(fn)
         def checked(*args, **kwargs):
@@ -49,10 +49,10 @@ def float64_result(what: str):
                     return out
             except (OverflowError, ZeroDivisionError) as exc:
                 cause = exc
-            from .core import ModelParams       # core imports this module
+            from .core import ModelParams, SwitchingProb   # core imports this module
             bound = inspect.signature(fn).bind(*args, **kwargs).arguments.items()
             at = ", ".join(f"{name}={value!r}" for name, value in bound
-                           if isinstance(value, (int, float, ModelParams)))
+                           if isinstance(value, (int, float, ModelParams, SwitchingProb)))
             raise DomainError(f"{what} at {at} are not finite in float64") from cause
         return checked
     return wrap

@@ -104,10 +104,9 @@ def transform_from_origin(omega: float, p: ModelParams) -> tuple[float, float]:
     F00 = (mu'/mu) p00' and F0H = e^{theta1 H} p0h' in the tilted box,
     with (mu'/mu) p00' = lam*H*phi1*p0h', since p00' alone can underflow.
     """
-    lam, mu, h = p.lam, p.mu, p.effective_level
+    lam, h = p.lam, p.effective_level
     if omega == 0.0:
-        cv = _forms.closed_values(lam, mu, h)
-        return cv.p00, cv.p0h
+        return p._closed.p00, p._closed.p0h
     t1, _, lo, hi = _tilted(omega, p)
     ker = _forms._kernels(hi - lo, h)
     p0h = _forms._origin_row(lo, hi, h, ker)[1]

@@ -74,11 +74,11 @@ class ValidationReport:
     z_max: float
 
 
-def _clock_frequencies(cv) -> tuple[float, float]:
+def _clock_frequencies(cm: analytics.CycleMeans) -> tuple[float, float]:
     """Frequencies omega of the f00 and f0h rows, -1/kappa00 and
     -1/kappa0h: the transforms are taken about one conditional mean
     phase duration out, where exp(omega*T) is neither near 1 nor near 0."""
-    return -1.0 / cv.kappa00, -1.0 / cv.kappa0h
+    return -1.0 / cm.kappa00, -1.0 / cm.kappa0h
 
 
 def _batch_moments(p: ModelParams, s: SwitchingProb, seed: int,
@@ -157,9 +157,9 @@ def estimate(p: ModelParams, s: SwitchingProb, n_paths: int, seed: int,
     boundary plus n_paths absorption paths, deterministic in (seed).
     Raises DomainError before simulating where the mean absorption time
     is past float64."""
-    cv = analytics._closed_values(p)
-    analytics._absorption(cv, s.alpha)
-    mom = _gather(p, s, n_paths, seed, threads, _clock_frequencies(cv))
+    analytics.expected_absorption_time(p, s)
+    mom = _gather(p, s, n_paths, seed, threads,
+                  _clock_frequencies(analytics.expected_cycles(p)))
     stats = dict(zip(_QUANTITIES, (_mean_se(row) for row in mom)))
     return MCSummary(
         n_paths=n_paths,
@@ -177,13 +177,13 @@ def estimate(p: ModelParams, s: SwitchingProb, n_paths: int, seed: int,
 def _analytic_values(p: ModelParams, s: SwitchingProb):
     """Closed-form mean of every row, the exact per-path variance of the
     f00 and f0h rows, F(2 omega) - F(omega)^2, and their frequencies."""
-    cv = analytics._closed_values(p)
+    cm = analytics.expected_cycles(p)
     mean = {
-        **{name: getattr(cv, name) for name in _QUANTITIES[:8]},
+        **asdict(analytics.phase_probabilities(p)), **asdict(cm),
         "mean_m": 1.0 / s.alpha,
-        "absorption_time": analytics._absorption(cv, s.alpha).expected_absorption_time,
+        "absorption_time": analytics.expected_absorption_time(p, s).expected_absorption_time,
     }
-    omega = _clock_frequencies(cv)
+    omega = _clock_frequencies(cm)
     var = {}
     for i, (name, w) in enumerate(zip(("f00", "f0h"), omega)):
         mean[name] = f = mgf.transform_from_origin(w, p)[i]

@@ -81,11 +81,11 @@ def scaling_sweep(spec: ScalingSpec, h: float, s: SwitchingProb) -> tuple[SweepR
     rows = []
     for c in spec.c_values:
         p = scaled_params(c, spec, h)
-        cv = analytics._closed_values(p)
-        rep = analytics._absorption(cv, s.alpha)
+        cm = analytics.expected_cycles(p)
+        rep = analytics.expected_absorption_time(p, s)
         rows.append(SweepRow(
             c=c, lam=p.lam, mu=p.mu,
-            ec00=cv.m00, ec0h=cv.m0h,
+            ec00=cm.m00, ec0h=cm.m0h,
             etau=rep.l1,
             eta=rep.expected_absorption_time,
         ))

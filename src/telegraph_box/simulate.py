@@ -193,11 +193,10 @@ def dual_representation_check(ph: PhaseRecord, p: ModelParams) -> DualCheck:
 # array engine
 
 
-def _run_lanes(from_origin: np.ndarray, phases: np.ndarray, p: ModelParams,
-               rng: RandomSource):
-    """Run phases[i] phases in a row on lane i, vectorized; lane i starts
-    at the origin if from_origin[i], else at the level, and each later
-    phase at the wall the one before it hit.
+def _run_lanes(origin: bool, phases: np.ndarray, p: ModelParams, rng: RandomSource):
+    """Run phases[i] phases in a row on lane i, vectorized; all lanes
+    start at the origin if `origin`, else at the level, and each later
+    phase of a lane at the wall the one before it hit.
 
     Returns arrays (end_is_level, duration, n_switches, t_stop, y_stop)
     as _run_phases does; end_is_level is that of a lane's last phase and
@@ -222,7 +221,7 @@ def _run_lanes(from_origin: np.ndarray, phases: np.ndarray, p: ModelParams,
     """
     h, lam, mu = p.effective_level, p.lam, p.mu
     gen = rng.gen
-    n = from_origin.size
+    n = phases.size
     end_level = np.empty(n, dtype=bool)
     duration = np.zeros(n)
     n_switches = np.empty(n, dtype=np.int64)
@@ -231,9 +230,9 @@ def _run_lanes(from_origin: np.ndarray, phases: np.ndarray, p: ModelParams,
     lane = np.arange(n)
     left = phases.copy()
     restarts = int(left.sum()) - n
-    up = from_origin.copy()
+    up = np.full(n, origin)
     st = np.zeros((4, n))
-    st[0] = np.where(up, 0.0, h)
+    st[0] = 0.0 if origin else h
     rounds = 0
     # stops and the lane-rounds spent reaching them, starting from one
     stops = lane_rounds = 1
@@ -316,7 +315,7 @@ def _run_lanes(from_origin: np.ndarray, phases: np.ndarray, p: ModelParams,
             # the parity other than the last draw's holds the down total on
             # an upward hit and the up total on a downward one; the dual
             # clock of an origin-to-level crossing still owes the level offset
-            t_stop[fin] = other + np.where(end_up & from_origin.take(fin), h, 0.0)
+            t_stop[fin] = other + h * end_up if origin else other
             y_stop[fin] = np.where(end_up, other, same)
             if restarts:
                 # what was just recorded for a lane with phases left is
@@ -345,8 +344,7 @@ def _run_phases(start: Boundary, p: ModelParams, rng: RandomSource, n: int):
     y_stop the dual jump total at the stop, so duration and t_stop come
     from independent accumulations and identity checks stay meaningful.
     """
-    return _run_lanes(np.full(n, start is Boundary.ORIGIN), np.ones(n, dtype=np.int64),
-                      p, rng)
+    return _run_lanes(start is Boundary.ORIGIN, np.ones(n, dtype=np.int64), p, rng)
 
 
 def _run_absorption(p: ModelParams, s: SwitchingProb, rng: RandomSource, n: int,
@@ -362,5 +360,5 @@ def _run_absorption(p: ModelParams, s: SwitchingProb, rng: RandomSource, n: int,
     m = rng.gen.geometric(s.alpha, n)
     if m.max(initial=0) > max_phases:
         raise MaxPhasesExceeded(max_phases)
-    end_level, total = _run_lanes(np.ones(n, dtype=bool), m, p, rng)[:2]
+    end_level, total = _run_lanes(True, m, p, rng)[:2]
     return m, total, end_level

@@ -170,3 +170,20 @@ def transform_from_H(lam: float, mu: float, h: float, omega: float, d: float,
         fh0 = (-mp.expm1(-delta * d) * (mu - t1) * (mu - t2) * mp.exp(-t2 * a)
                / (mu * (delta - (mu - t2) * mp.expm1(-delta * h))))
         return float(fhh), float(fh0)
+
+
+def phase_power_sum(p0h: float, ph0: float, i: int, m: int) -> tuple[float, ...]:
+    """(p00, p0h, ph0, phh) of sum_{j=i}^{m} P^j, i >= 1, for the stochastic
+    chain with off-diagonal entries p0h and ph0, at 60 digits: P^j =
+    S + theta^j (I - S) with theta = 1 - p0h - ph0 formed exactly and S
+    the stationary projector.  i = m gives the power P^i."""
+    with mp.workdps(60):
+        a, b = mp.mpf(p0h), mp.mpf(ph0)
+        s = a + b
+        theta = 1 - s
+        geo = sum(theta ** j for j in range(i, m + 1)) if m - i < 64 else (
+            theta ** i * (1 - theta ** (m - i + 1)) / s)
+        n = m - i + 1
+        st0, sth = b / s, a / s
+        return tuple(float(x) for x in (n * st0 + geo * sth, (n - geo) * sth,
+                                        (n - geo) * st0, n * sth + geo * st0))

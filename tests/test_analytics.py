@@ -302,6 +302,39 @@ def test_matrix_power_matches_naive(p):
         acc = acc @ m
 
 
+# theta rounds to 1 in float64, is 1 - 0.838, and is exactly -1
+POWER_POINTS = (ModelParams(1.0, 1.0, 1e20), P121, ModelParams(1e-300, 1e-300, 1e-300))
+
+
+@pytest.mark.parametrize("p", POWER_POINTS)
+def test_matrix_power_matches_the_oracle_at_any_index(p):
+    pm = phase_probabilities(p)
+    for j in (1, 2, 7, 10 ** 6, 10 ** 17, 10 ** 17 + 1, 10 ** 400, 10 ** 400 + 1):
+        got = matrix_power(pm, j)
+        ref = _mp_oracle.phase_power_sum(pm.p0h, pm.ph0, j, j)
+        for g, r in zip((got.p00, got.p0h, got.ph0, got.phh), ref):
+            assert abs(g - r) <= 1e-12 * abs(r), (j, g, r)
+
+
+@pytest.mark.parametrize("p", POWER_POINTS)
+def test_q_sum_matches_the_oracle_at_any_index(p):
+    pm = phase_probabilities(p)
+    o, l = Boundary.ORIGIN, Boundary.LEVEL
+    for i, m in ((1, 10), (1, 10 ** 6), (2, 10 ** 6 + 1), (3, 10 ** 17),
+                 (10 ** 400, 10 ** 400 + 9)):
+        ref = _mp_oracle.phase_power_sum(pm.p0h, pm.ph0, i, m)
+        for (u, v), r in zip(((o, o), (o, l), (l, o), (l, l)), ref):
+            g = q_sum(pm, i, m, u, v)
+            assert abs(g - r) <= 1e-12 * abs(r), (i, m, u, v, g, r)
+
+
+def test_expected_length_past_float64_names_n():
+    with pytest.raises(DomainError, match=r"^expected phase lengths at "
+                       r"p=ModelParams\(lam=1\.0, mu=2\.0, h=1\.0, velocity=1\.0\), "
+                       r"n=10{400} are not finite"):
+        expected_length_L(P121, 10 ** 400)
+
+
 def test_q_sum_conventions_and_example():
     pm = phase_probabilities(PEQ)
     o = Boundary.ORIGIN
