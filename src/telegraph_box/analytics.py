@@ -105,7 +105,8 @@ def _theta_powers(s: float, j: int) -> tuple[float, float]:
     Formed as exp and -expm1 of j*log|theta|, with log1p(-s) for theta > 0,
     so that a theta that rounds to 1 keeps its distance from 1; for
     theta < 0, 1 - s is exact and the sign follows the parity of j.  A j
-    past float64 reads as inf.
+    past float64 reads as inf.  Callers pass theta < 0 only for a chain
+    that alternates, theta = -1; other negative thetas go through P^2.
     """
     if s == 1.0:
         return 0.0, 1.0
@@ -145,6 +146,16 @@ def _gap_sum(s: float, n: int) -> float:
     return b * (b - a) * total / s
 
 
+def _product(x: PhaseMatrix, y: PhaseMatrix) -> PhaseMatrix:
+    """The matrix product x y, each entry a sum of two terms >= 0."""
+    return PhaseMatrix(
+        p00=x.p00 * y.p00 + x.p0h * y.ph0,
+        p0h=x.p00 * y.p0h + x.p0h * y.phh,
+        ph0=x.ph0 * y.p00 + x.phh * y.ph0,
+        phh=x.ph0 * y.p0h + x.phh * y.phh,
+    )
+
+
 @float64_result("phase-chain powers")
 def matrix_power(pm: PhaseMatrix, j: int) -> PhaseMatrix:
     """j-th power of the phase chain in closed spectral form.
@@ -158,6 +169,12 @@ def matrix_power(pm: PhaseMatrix, j: int) -> PhaseMatrix:
     if j == 0:
         return PhaseMatrix(1.0, 0.0, 0.0, 1.0)
     s = pm.p0h + pm.ph0
+    if s > 1.0 and pm.p00 + pm.phh:
+        # theta < 0: the powers of P^2, whose theta^2 > 0 is taken from its
+        # off-diagonal entries, sums of terms >= 0, so a chain that nearly
+        # alternates keeps them; an odd power is P^(j-1) P
+        half = matrix_power.__wrapped__(_product(pm, pm), j // 2)
+        return _product(half, pm) if j % 2 else half
     vj, wj = _theta_powers(s, j)
     stat0, stath = pm.ph0 / s, pm.p0h / s
     return PhaseMatrix(
@@ -183,6 +200,14 @@ def q_sum(pm: PhaseMatrix, i: int, m: int, u: Boundary, v: Boundary) -> float:
         # peel the identity term off so the j=0 convention is exact
         return float(u is v) + q_sum(pm, 1, m, u, v)
     s = pm.p0h + pm.ph0
+    if s > 1.0 and pm.p00 + pm.phh:
+        # theta < 0: sums of powers of P^2 as in matrix_power, the odd
+        # powers j = 2k + 1 as P^(2k) P, all terms >= 0
+        sq, qs = _product(pm, pm), q_sum.__wrapped__
+        odd = (i // 2, (m - 1) // 2)
+        return (qs(sq, (i + 1) // 2, m // 2, u, v)
+                + qs(sq, *odd, u, Boundary.ORIGIN) * pm.entry(Boundary.ORIGIN, v)
+                + qs(sq, *odd, u, Boundary.LEVEL) * pm.entry(Boundary.LEVEL, v))
     n = m - i + 1
     vi, wi = _theta_powers(s, i)
     stat0, stath = pm.ph0 / s, pm.p0h / s

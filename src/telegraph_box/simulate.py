@@ -37,6 +37,13 @@ _BLOCK_ROUNDS = 1024
 _BLOCK_CELLS = 2 ** 15
 _HAZARD_STOPS = 64
 
+# retired lanes keep their columns in the array kernel's per-round path
+# until they are more than 1/_DEAD_SHARE of its columns: a compaction
+# copies every row of every column, so it waits for a share of them.
+# It copies through the kernel's scratch rows, so that no second large
+# array is made.
+_DEAD_SHARE = 8
+
 
 @dataclass(frozen=True)
 class PhaseRecord:
@@ -193,8 +200,15 @@ def dual_representation_check(ph: PhaseRecord, p: ModelParams) -> DualCheck:
 # array engine
 
 
+def _lane_rows(lanes):
+    """Views of the lane array of _run_lanes, row by row, and its bits."""
+    bits = lanes.view(np.int64)
+    left = bits[6] if len(lanes) > 6 else None
+    return lanes[0], lanes[1], lanes[2], lanes[3:5], bits[5], left, bits
+
+
 def _run_lanes(origin: bool, phases: np.ndarray, p: ModelParams, rng: RandomSource):
-    """Run phases[i] phases in a row on lane i, vectorized; all lanes
+    """Run phases[i] >= 1 phases in a row on lane i, vectorized; all lanes
     start at the origin if `origin`, else at the level, and each later
     phase of a lane at the wall the one before it hit.
 
@@ -202,13 +216,30 @@ def _run_lanes(origin: bool, phases: np.ndarray, p: ModelParams, rng: RandomSour
     as _run_phases does; end_is_level is that of a lane's last phase and
     duration the sum of its phases' durations.  All lanes start together
     and reverse every round, so a lane's draws alternate direction with
-    the round parity.  The rows of st hold the live lanes' position,
-    duration of the current phase, and draws summed over even and over
-    odd rounds, read as up or down totals when a lane retires.  A lane
-    that stops with phases left is restarted in place at its wall,
-    heading away from it; the parity sums then span several phases, so
+    the round parity.  Each column of the array `lanes` is a lane: its
+    position, the duration of its current phase and of the phases it has
+    completed, its draws summed over even and over odd rounds (read as up
+    or down totals when it retires), and as int64 bits its index and,
+    when any lane runs more than one phase, its phases left.  A bool row
+    beside it says whether the lane heads up on even rounds.  A lane that
+    stops with phases left is restarted in place at its wall, heading
+    away from it; the parity sums then span several phases, so
     n_switches, t_stop and y_stop hold only for one-phase lanes.
     _REVERSAL_CAP bounds the rounds of the whole call, restarts included.
+
+    In the per-round path a restart is arithmetic on the lanes' rows: an
+    all-ones bit mask over the stopped lanes moves their phase time from
+    the current to the completed total and their position to the wall
+    they hit, and takes one off their phases left, in place and exactly,
+    so a lane's duration adds the same numbers in the same order as one
+    phase at a time would.  Only a lane that has run its last phase is
+    recorded.  Its column stays, drawing 0 at a nan position so that it
+    never stops again, until retired columns are more than 1/_DEAD_SHARE
+    of the columns or a round block starts: the lanes are compacted only
+    then, in place, and never after a round in which lanes only restart.
+    While all lanes head one way, a round's rate and wall are scalars;
+    after a round block has set lanes heading both ways (below), they are
+    read lane by lane until a compaction finds the lanes agreeing again.
 
     When few lanes stop per round, a round costs more in numpy calls than
     in arithmetic, so the kernel draws a block of rounds for every live
@@ -217,47 +248,113 @@ def _run_lanes(origin: bool, phases: np.ndarray, p: ModelParams, rng: RandomSour
     and its draws after that are dropped; a lane with phases left waits
     for the next block.  When no lane runs through the whole block, the
     generator is put back to where the rounds up to the last stop leave
-    it, so a single lane takes the draws of the round-by-round loop.
+    it, so a single lane takes the draws of the round-by-round loop.  A
+    lane restarted in a block heads away from its wall from the next
+    round on, whatever that round's parity, so the lanes may then head
+    both ways in one round.
     """
-    h, lam, mu = p.effective_level, p.lam, p.mu
+    # a Python float, so that the wall's bits are float64 ones
+    h, lam, mu = float(p.effective_level), p.lam, p.mu
     gen = rng.gen
     n = phases.size
     end_level = np.empty(n, dtype=bool)
-    duration = np.zeros(n)
+    duration = np.empty(n)
     n_switches = np.empty(n, dtype=np.int64)
     t_stop = np.empty(n)
     y_stop = np.empty(n)
-    lane = np.arange(n)
-    left = phases.copy()
-    restarts = int(left.sum()) - n
-    up = np.full(n, origin)
-    st = np.zeros((4, n))
-    st[0] = 0.0 if origin else h
+    restarts = int(phases.sum()) - n
+    lanes = np.zeros((7 if restarts else 6, n))
+    pos, cur, done, par, lane, left, bits = _lane_rows(lanes)
+    pos[:] = 0.0 if origin else h
+    lane[:] = np.arange(n)
+    if restarts:
+        left[:] = phases
+    up_even = np.full(n, origin)
+    # whether the lanes head both ways, which only a round block's restarts
+    # bring about; only then are rate and wall read lane by lane
+    mixed = False
+    # scratch rows of the per-round path: the draws, later the stop mask,
+    # and the gaps, later the phase times moved; a compaction passes
+    # columns through them too, so they hold one of every row at least
+    scratch = np.empty((2, max(n, 4)))
+    flags = np.empty(n, dtype=bool)
+    alive = np.ones(n, dtype=bool)
+    # columns, and retired columns among them
+    k, dead = n, 0
     rounds = 0
     # stops and the lane-rounds spent reaching them, starting from one
     stops = lane_rounds = 1
-    while lane.size:
+    while (kl := k - dead):
         if rounds == _REVERSAL_CAP:
             raise ReversalCapExceeded(_REVERSAL_CAP)
-        k = lane.size
-        block = min(int(2 * lane_rounds / stops), _BLOCK_ROUNDS, _BLOCK_CELLS // k) // 2 * 2
+        block = min(int(2 * lane_rounds / stops), _BLOCK_ROUNDS, _BLOCK_CELLS // kl) // 2 * 2
+        if dead and (block >= _BLOCK_MIN or dead * _DEAD_SHARE > k):
+            # in place, as many columns at a time as the scratch rows
+            # hold; phases left matter only while lanes have restarts left
+            keep = np.flatnonzero(alive[:k])
+            moved = lanes[:7 if restarts else 6]
+            width = scratch.size // len(moved)
+            for lo in range(0, kl, width):
+                cols = keep[lo:lo + width]
+                spare = scratch.reshape(-1)[:len(moved) * cols.size].reshape(len(moved), -1)
+                np.take(moved, cols, axis=1, out=spare, mode="clip")
+                moved[:, lo:lo + cols.size] = spare
+            np.take(up_even, keep, out=flags[:kl], mode="clip")
+            up_even[:kl] = flags[:kl]
+            k, dead = kl, 0
+            pos, cur, done, par, lane, left, bits = _lane_rows(lanes[:, :k])
+            up_even = up_even[:k]
+            mixed = mixed and up_even.min() != up_even.max()
+            alive[:k] = True
+        odd = rounds % 2
         if block < _BLOCK_MIN:
-            draw = gen.standard_exponential(k) / np.where(up, lam, mu)
-            row = 2 + rounds % 2
-            st[row] += draw
-            gap = np.where(up, h - st[0], st[0])
-            at = np.flatnonzero(draw >= gap)
-            if at.size:
-                t = rounds
-                end_up = up.take(at)
-                phase_time = st[1].take(at) + gap.take(at)
-                same, other = st[row].take(at), st[5 - row].take(at)
-            st[1] += draw
-            st[0] += np.where(up, draw, -draw)
-            up = ~up
-            used = 1
-            lane_rounds += k
+            if mixed:
+                up = up_even != odd
+                rate, wall = np.where(up, lam, -mu), np.where(up, h, 0.0)
+            else:
+                up = bool(up_even[0]) != odd
+                rate, wall = (lam, h) if up else (-mu, 0.0)
+            draw, gap = scratch[:, :k]
+            stop = flags[:k]
+            if dead:
+                draw[alive[:k]] = gen.standard_exponential(out=gap[:kl])
+            else:
+                gen.standard_exponential(out=draw)
+            draw /= rate                        # signed: + up, - down
+            np.subtract(wall, pos, out=gap)
+            np.abs(gap, out=gap)
+            pos += draw
+            np.abs(draw, out=draw)
+            np.greater_equal(draw, gap, out=stop)
+            par[odd] += draw
+            np.minimum(draw, gap, out=gap)
+            cur += gap
+            used, t = 1, rounds
+            lane_rounds += kl
+            hits = np.count_nonzero(stop)
+            if not restarts:
+                # every stopped lane retires
+                at = np.flatnonzero(stop)
+                done[at] += cur.take(at)
+            else:
+                # an all-ones mask over the stopped lanes moves their phase
+                # time from cur to done and their position to the wall they
+                # hit; no value is multiplied, so infinities stay exact
+                hit, cut = draw.view(np.int64), gap.view(np.int64)
+                np.negative(stop.view(np.int8), out=hit)
+                np.bitwise_and(bits[1], hit, out=cut)
+                done += gap
+                bits[1] ^= cut
+                np.bitwise_xor(bits[0], np.asarray(wall).view(np.int64), out=cut)
+                cut &= hit
+                bits[0] ^= cut
+                left += hit
+                at = np.flatnonzero(np.equal(left, 0, out=stop))
+                restarts -= hits - at.size
+            end_up = up.take(at) if mixed else up
+            same, other = par[odd].take(at), par[1 - odd].take(at)
         else:
+            up = up_even != odd
             saved = gen.bit_generator.state
             going_up = np.stack((up, ~up))      # by the parity of a block row
             # pair i holds block rows 2i and 2i+1
@@ -265,7 +362,7 @@ def _run_lanes(origin: bool, phases: np.ndarray, p: ModelParams, rng: RandomSour
             draws /= np.where(going_up, lam, mu)
             # row i of track is the position at the start of block row i
             track = np.empty((block + 1, k))
-            track[0] = st[0]
+            track[0] = pos
             np.multiply(draws, np.where(going_up, 1.0, -1.0), out=track[1:].reshape(-1, 2, k))
             np.cumsum(track, axis=0, out=track)
             draws = draws.reshape(block, k)
@@ -286,30 +383,44 @@ def _run_lanes(origin: bool, phases: np.ndarray, p: ModelParams, rng: RandomSour
             # the per-round path sums them; column 0 of tot is the parity
             # of even block rows, the parity of round `rounds`
             dur = np.empty((used + 1, k))
-            dur[0] = st[1]
+            dur[0] = cur
             dur[1:] = draws[:used]
             np.cumsum(dur, axis=0, out=dur)
             pairs = (used + 1) // 2
-            parity = [2 + rounds % 2, 3 - rounds % 2]
             tot = np.empty((pairs + 1, 2, k))
-            tot[0] = st[parity]
+            tot[0] = par[[odd, 1 - odd]]
             tot[1:] = draws[:2 * pairs].reshape(pairs, 2, k)
             np.cumsum(tot, axis=0, out=tot)
-            odd = t % 2
-            end_up = going_up[odd, at]
-            pos = track[t, at]
-            phase_time = dur[t, at] + np.where(end_up, h - pos, pos)
-            same, other = tot[t // 2 + 1, odd, at], tot[t // 2 + odd, 1 - odd, at]
-            t = t + rounds
+            half = t % 2
+            end_up = going_up[half, at]
+            where = track[t, at]
+            same, other = tot[t // 2 + 1, half, at], tot[t // 2 + half, 1 - half, at]
             if used == block:
-                st[0], st[1], st[parity] = track[-1], dur[-1], tot[-1]
+                pos[:], cur[:], par[[odd, 1 - odd]] = track[-1], dur[-1], tot[-1]
+            done[at] += dur[t, at] + np.where(end_up, h - where, where)
+            t = t + rounds
+            hits = at.size
+            # a lane with phases left heads away from its wall from the
+            # next round on, whatever that round's parity
+            if restarts:
+                left[at] -= 1
+                more = left.take(at) > 0
+                again, back = at[more], end_up[more]
+                pos[again] = h * back
+                cur[again] = 0.0
+                up_even[again] = back == bool((rounds + used) % 2)
+                mixed = up_even.min() != up_even.max()
+                restarts -= again.size
+                last = ~more
+                at, t, end_up, same, other = at[last], t[last], end_up[last], same[last], other[last]
         rounds += used
-        if at.size:
-            stops += at.size
+        if hits:
+            stops += hits
             if stops > _HAZARD_STOPS:
                 stops, lane_rounds = stops / 2, lane_rounds / 2
+        if at.size:
             fin = lane.take(at)
-            duration[fin] += phase_time
+            duration[fin] = done.take(at)
             end_level[fin] = end_up
             n_switches[fin] = t
             # the parity other than the last draw's holds the down total on
@@ -318,21 +429,14 @@ def _run_lanes(origin: bool, phases: np.ndarray, p: ModelParams, rng: RandomSour
             t_stop[fin] = other + h * end_up if origin else other
             y_stop[fin] = np.where(end_up, other, same)
             if restarts:
-                # what was just recorded for a lane with phases left is
-                # overwritten when its last phase ends
-                more = left.take(fin) > 1
-                again = at[more]
-                restarts -= again.size
-                left[fin[more]] -= 1
-                st[0, again] = h * end_up[more]
-                st[1, again] = 0.0
-                up[again] = ~end_up[more]
-                at = at[~more]
-            keep = np.ones(k, dtype=bool)
-            keep[at] = False
-            keep = np.flatnonzero(keep)
-            lane, up = lane.take(keep), up.take(keep)
-            st = st.take(keep, axis=1)
+                left[at] = -1
+            alive[at] = False
+            dead += at.size
+            if dead * _DEAD_SHARE <= k:
+                # a retired column kept for the next round draws 0 and
+                # holds a nan position, so it never stops again
+                pos[at] = np.nan
+                scratch[0, at] = 0.0
     return end_level, duration, n_switches, t_stop, y_stop
 
 

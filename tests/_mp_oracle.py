@@ -178,12 +178,24 @@ def phase_power_sum(p0h: float, ph0: float, i: int, m: int) -> tuple[float, ...]
     S + theta^j (I - S) with theta = 1 - p0h - ph0 formed exactly and S
     the stationary projector.  i = m gives the power P^i."""
     with mp.workdps(60):
-        a, b = mp.mpf(p0h), mp.mpf(ph0)
-        s = a + b
-        theta = 1 - s
-        geo = sum(theta ** j for j in range(i, m + 1)) if m - i < 64 else (
-            theta ** i * (1 - theta ** (m - i + 1)) / s)
-        n = m - i + 1
-        st0, sth = b / s, a / s
-        return tuple(float(x) for x in (n * st0 + geo * sth, (n - geo) * sth,
-                                        (n - geo) * st0, n * sth + geo * st0))
+        return _power_sum(mp.mpf(p0h), mp.mpf(ph0), i, m)
+
+
+def phase_power_sum_from_diagonal(p00: float, phh: float, i: int,
+                                  m: int) -> tuple[float, ...]:
+    """phase_power_sum for the chain with diagonal entries p00 and phh, its
+    off-diagonal ones 1 - p00 and 1 - phh formed exactly: the chain a
+    float64 PhaseMatrix stands for when p0h and ph0 round to 1."""
+    with mp.workdps(60):
+        return _power_sum(1 - mp.mpf(p00), 1 - mp.mpf(phh), i, m)
+
+
+def _power_sum(a, b, i: int, m: int) -> tuple[float, ...]:
+    s = a + b
+    theta = 1 - s
+    geo = sum(theta ** j for j in range(i, m + 1)) if m - i < 64 else (
+        theta ** i * (1 - theta ** (m - i + 1)) / s)
+    n = m - i + 1
+    st0, sth = b / s, a / s
+    return tuple(float(x) for x in (n * st0 + geo * sth, (n - geo) * sth,
+                                    (n - geo) * st0, n * sth + geo * st0))

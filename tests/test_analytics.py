@@ -17,6 +17,7 @@ from telegraph_box import (
     DomainError,
     InvalidIndex,
     ModelParams,
+    PhaseMatrix,
     SwitchingProb,
     expected_absorption_time,
     expected_cycles,
@@ -323,6 +324,28 @@ def test_q_sum_matches_the_oracle_at_any_index(p):
     for i, m in ((1, 10), (1, 10 ** 6), (2, 10 ** 6 + 1), (3, 10 ** 17),
                  (10 ** 400, 10 ** 400 + 9)):
         ref = _mp_oracle.phase_power_sum(pm.p0h, pm.ph0, i, m)
+        for (u, v), r in zip(((o, o), (o, l), (l, o), (l, l)), ref):
+            g = q_sum(pm, i, m, u, v)
+            assert abs(g - r) <= 1e-12 * abs(r), (i, m, u, v, g, r)
+
+
+# p0h and ph0 round to 1 where p00 and phh are both tiny, so theta = 1 - s
+# reads as -1; the chain these stand for has the exact off-diagonal
+# entries 1 - p00 and 1 - phh
+ALTERNATING = (phase_probabilities(ModelParams(1.0, 1.0, 1e-17)),
+               PhaseMatrix(0.0, 1.0, 1.0 - 2.0 ** -53, 2.0 ** -53))
+
+
+@pytest.mark.parametrize("pm", ALTERNATING)
+def test_powers_of_a_nearly_alternating_chain_match_the_oracle(pm):
+    o, l = Boundary.ORIGIN, Boundary.LEVEL
+    for j in (3, 5, 198, 10 ** 6):
+        got = matrix_power(pm, j)
+        ref = _mp_oracle.phase_power_sum_from_diagonal(pm.p00, pm.phh, j, j)
+        for g, r in zip((got.p00, got.p0h, got.ph0, got.phh), ref):
+            assert abs(g - r) <= 1e-12 * abs(r), (j, g, r)
+    for i, m in ((3, 3), (1, 10), (3, 198), (2, 10 ** 6 + 1), (3, 10 ** 17)):
+        ref = _mp_oracle.phase_power_sum_from_diagonal(pm.p00, pm.phh, i, m)
         for (u, v), r in zip(((o, o), (o, l), (l, o), (l, l)), ref):
             g = q_sum(pm, i, m, u, v)
             assert abs(g - r) <= 1e-12 * abs(r), (i, m, u, v, g, r)

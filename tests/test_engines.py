@@ -23,6 +23,7 @@ from telegraph_box import (
     RandomSource,
     ReversalCapExceeded,
     SwitchingProb,
+    validate_params,
 )
 from telegraph_box import simulate
 from telegraph_box.simulate import _run_absorption, _run_phases
@@ -117,6 +118,21 @@ def test_array_absorption_budget_is_checked_before_any_phase():
         assert rng.gen.bit_generator.state == counts_only.gen.bit_generator.state
 
 
+# numpy float32 fields pass validate_params and keep their type in
+# effective_level; a restart reads the wall's float64 bits, so a run on
+# float32 fields must match the run on the same values as float64.
+# (1,1,2,0.05) hands the per-round path lanes heading both ways.
+@pytest.mark.parametrize("case", [(1.0, 2.0, 1.0, 0.2), (1.0, 1.0, 2.0, 0.05)])
+def test_float32_parameters_run_as_their_float64_values(case):
+    p64 = ModelParams(*case[:3])
+    p32 = validate_params(ModelParams(*map(np.float32, case[:3])))
+    s = SwitchingProb(case[3])
+    for n in (1, 64, N):
+        a, b = RandomSource(3, 1), RandomSource(3, 1)
+        assert _digest(_run_absorption(p32, s, a, n)) == _digest(_run_absorption(p64, s, b, n))
+        assert a.gen.bit_generator.state == b.gen.bit_generator.state
+
+
 # Digests of an engine's outputs plus the next 8 uniforms its generator
 # gives afterwards.  The kernel draws round blocks ahead and may put the
 # generator back; these pin where it leaves the generator.  The n = 64
@@ -139,6 +155,24 @@ STREAM_DIGESTS = {
         '66dd29627c1340a82333a1a0f91617ba0425b5e7a4e94083194dfcbdf417bed6',
     ("absorption", (1.0, 2.0, 1.0), 0.02, N, 8):
         '47f3ba691d3cfda20634fcad87659f3f3da15f3200c0d9471cea2dcc32374e69',
+    # at (1,1,2) a round block that restarts lanes off the round parity
+    # hands lanes heading both ways to the per-round path
+    ("absorption", (1.0, 1.0, 2.0), 0.2, 64, 7):
+        'b00c5ac5ba32f66deb1f009c07984ea6b88eac783940d8dc8b903c27db41a600',
+    ("absorption", (1.0, 1.0, 2.0), 0.2, 64, 8):
+        '98079e7e5638a0bff4721241d9ecea17a21508c9cd79a4fbd454f0ed4d68cf62',
+    ("absorption", (1.0, 1.0, 2.0), 0.2, N, 7):
+        '54f66704e5b09b0386bf416b2def47ba25e1444e28ea75221c06979907e675a9',
+    ("absorption", (1.0, 1.0, 2.0), 0.2, N, 8):
+        'e2bb77ec9d573b22bf72d9fb38e834a33fb66e7127d309fad1722285dba4c0f9',
+    ("absorption", (1.0, 1.0, 2.0), 0.05, 64, 7):
+        'c5e6e4d748893b4ae495cfeee537993899ebb7651038db87b6dbab3fbb9bc98b',
+    ("absorption", (1.0, 1.0, 2.0), 0.05, 64, 8):
+        '4511379f2a9f95133833ce1d8a978384a11d198eaafd05080f8d9ba06b7fad84',
+    ("absorption", (1.0, 1.0, 2.0), 0.05, N, 7):
+        '4a7177a57feaa71b6424e8f9f45d442664bc149db9ef40762b0f04aadb526c6c',
+    ("absorption", (1.0, 1.0, 2.0), 0.05, N, 8):
+        '1486099fa3f1fe6acd917089f5189ec41312e9478c3381f580c8dc12419f29b2',
 }
 
 
