@@ -11,7 +11,6 @@ flags produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import asdict
 
@@ -19,14 +18,6 @@ from . import analytics, mgf, montecarlo, scaling
 from ._report import render
 from .core import ModelParams, SwitchingProb
 from .errors import TelegraphBoxError
-
-
-def _threads_default() -> int:
-    env = os.environ.get("TELEGRAPH_BOX_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -57,9 +48,8 @@ def _add_mc_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--paths", type=int, default=100000,
                     help="number of simulated paths/phases (default 100000)")
     sp.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    sp.add_argument("--threads", type=int, default=_threads_default(),
-                    help="worker threads; results do not depend on this "
-                         "(default: TELEGRAPH_BOX_THREADS or 1)")
+    sp.add_argument("--threads", type=int,
+                    help="accepted and ignored: batches run serially")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -144,7 +134,7 @@ def _cmd_mgf(ns: argparse.Namespace) -> tuple[str, int]:
 def _cmd_simulate(ns: argparse.Namespace) -> tuple[str, int]:
     p = ModelParams(ns.lam, ns.mu, ns.h, ns.velocity)
     s = SwitchingProb(ns.alpha)
-    summ = montecarlo.estimate(p, s, ns.paths, ns.seed, threads=ns.threads)
+    summ = montecarlo.estimate(p, s, ns.paths, ns.seed)
     names, cyc = montecarlo._QUANTITIES[:4], montecarlo._QUANTITIES[4:8]
     doc = {
         "n_paths": summ.n_paths,
@@ -163,8 +153,7 @@ def _cmd_simulate(ns: argparse.Namespace) -> tuple[str, int]:
 def _cmd_validate(ns: argparse.Namespace) -> tuple[str, int]:
     p = ModelParams(ns.lam, ns.mu, ns.h, ns.velocity)
     s = SwitchingProb(ns.alpha)
-    rep = montecarlo.validate(p, s, ns.paths, ns.seed, z_max=ns.zmax,
-                              threads=ns.threads)
+    rep = montecarlo.validate(p, s, ns.paths, ns.seed, z_max=ns.zmax)
     if ns.fmt == "table":
         text = montecarlo.validation_report_table(rep) + "\n"
     else:

@@ -2,16 +2,15 @@
 
 Work is cut into fixed-size batches; batch b consumes the three random
 streams (3b, 3b+1, 3b+2) for origin phases, level phases, and absorption
-paths.  Per-batch moments are reduced with a fixed pairwise tree, so the
-result depends only on (seed, batch layout), never on worker count or
-completion order, and the estimate over two half-ranges merges bit for
-bit into the full-range estimate.
+paths.  Batches run one after another, and their moments are reduced
+with a fixed pairwise tree, so the result depends only on (seed, batch
+layout), and the estimate over two half-ranges merges bit for bit into
+the full-range estimate.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -126,7 +125,7 @@ def _reduce_pairwise(blocks: list[np.ndarray]) -> np.ndarray:
 
 
 def _gather(p: ModelParams, s: SwitchingProb, n_paths: int, seed: int,
-            threads: int | None, omega: tuple[float, float]) -> np.ndarray:
+            omega: tuple[float, float]) -> np.ndarray:
     if n_paths < 10 ** 3:
         raise DomainError(f"need at least 1000 paths, got {n_paths}")
     if seed < 0:
@@ -134,14 +133,8 @@ def _gather(p: ModelParams, s: SwitchingProb, n_paths: int, seed: int,
     sizes = [BATCH_SIZE] * (n_paths // BATCH_SIZE)
     if n_paths % BATCH_SIZE:
         sizes.append(n_paths % BATCH_SIZE)
-    jobs = list(enumerate(sizes))
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(
-                lambda job: _batch_moments(p, s, seed, job[0], job[1], omega), jobs))
-    else:
-        blocks = [_batch_moments(p, s, seed, b, k, omega) for b, k in jobs]
-    return _reduce_pairwise(blocks)
+    return _reduce_pairwise([_batch_moments(p, s, seed, b, k, omega)
+                             for b, k in enumerate(sizes)])
 
 
 def _mean_se(row: np.ndarray) -> tuple[float, float]:
@@ -151,14 +144,13 @@ def _mean_se(row: np.ndarray) -> tuple[float, float]:
     return float(mean), float(np.sqrt(var / n))
 
 
-def estimate(p: ModelParams, s: SwitchingProb, n_paths: int, seed: int,
-             threads: int | None = None) -> MCSummary:
+def estimate(p: ModelParams, s: SwitchingProb, n_paths: int, seed: int) -> MCSummary:
     """Sample means and standard errors over n_paths phases of each start
     boundary plus n_paths absorption paths, deterministic in (seed).
     Raises DomainError before simulating where the mean absorption time
     is past float64."""
     analytics.expected_absorption_time(p, s)
-    mom = _gather(p, s, n_paths, seed, threads,
+    mom = _gather(p, s, n_paths, seed,
                   _clock_frequencies(analytics.expected_cycles(p)))
     stats = dict(zip(_QUANTITIES, (_mean_se(row) for row in mom)))
     return MCSummary(
@@ -192,7 +184,7 @@ def _analytic_values(p: ModelParams, s: SwitchingProb):
 
 
 def validate(p: ModelParams, s: SwitchingProb, n_paths: int, seed: int,
-             z_max: float = 4.0, threads: int | None = None) -> ValidationReport:
+             z_max: float = 4.0) -> ValidationReport:
     """Compare every estimable quantity against its closed form.
 
     One record per quantity; overall_pass is true iff every |z| <= z_max.
@@ -205,7 +197,7 @@ def validate(p: ModelParams, s: SwitchingProb, n_paths: int, seed: int,
     if not (math.isfinite(z_max) and z_max > 0.0):
         raise DomainError(f"z_max must be finite and > 0, got {z_max!r}")
     analytic, var, omega = _analytic_values(p, s)
-    mom = _gather(p, s, n_paths, seed, threads, omega)
+    mom = _gather(p, s, n_paths, seed, omega)
     records = []
     for name, row in zip(_QUANTITIES, mom):
         mean, se = _mean_se(row)

@@ -9,6 +9,7 @@ scaled parameter sets and tabulates the decay along a velocity grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import astuple, dataclass
 
 from ._report import render
@@ -59,17 +60,19 @@ def scaled_params(c: float, spec: ScalingSpec, h: float) -> ModelParams:
 
     The analytics of the speed-c process equal those of a unit-speed
     process on the reduced level h/c, which ModelParams folds in via
-    effective_level.
+    effective_level.  Raises DomainError naming c and sigma where sigma^2
+    or a scaled rate is not positive and finite in float64.
     """
     if not c > 0.0:
         raise NonPositiveParameter("c", c)
     s2 = spec.sigma * spec.sigma
-    return ModelParams(
-        lam=(c * c + 2.0 * spec.drift_a * c) / s2,
-        mu=(c * c + 2.0 * spec.drift_b * c) / s2,
-        h=h,
-        velocity=c,
-    )
+    if 0.0 < s2 < math.inf:
+        lam = (c * c + 2.0 * spec.drift_a * c) / s2
+        mu = (c * c + 2.0 * spec.drift_b * c) / s2
+        if 0.0 < lam < math.inf and 0.0 < mu < math.inf:
+            return ModelParams(lam=lam, mu=mu, h=h, velocity=c)
+    raise DomainError(f"scaled rates at c={c!r}, sigma={spec.sigma!r} "
+                      "are not positive and finite in float64")
 
 
 def scaling_sweep(spec: ScalingSpec, h: float, s: SwitchingProb) -> tuple[SweepRow, ...]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import threading
 
 import pytest
 
@@ -160,16 +161,28 @@ def test_simulate_phase_count_past_the_budget_runs_no_phase(capsys, monkeypatch)
     assert "max_phases" in err
 
 
-def test_validate_threads_do_not_change_bytes(capsys, monkeypatch):
-    base = ["validate", "--lambda", "1", "--mu", "2", "--h", "1",
-            "--alpha", "0.5", "--paths", "20000", "--seed", "11",
-            "--format", "json"]
-    _, out1, _ = run_capture(capsys, base + ["--threads", "1"])
-    _, out2, _ = run_capture(capsys, base + ["--threads", "4"])
+VALIDATE_20000 = ["validate", "--lambda", "1", "--mu", "2", "--h", "1",
+                  "--alpha", "0.5", "--paths", "20000", "--seed", "11",
+                  "--format", "json"]
+
+
+def test_validate_threads_do_not_change_bytes(capsys):
+    _, out1, _ = run_capture(capsys, VALIDATE_20000 + ["--threads", "1"])
+    _, out2, _ = run_capture(capsys, VALIDATE_20000 + ["--threads", "4"])
     assert out1 == out2
-    monkeypatch.setenv("TELEGRAPH_BOX_THREADS", "3")
-    _, out3, _ = run_capture(capsys, base)
-    assert out3 == out1
+
+
+def test_validate_threads_flag_starts_no_thread(capsys, monkeypatch):
+    # --threads is accepted and ignored: 20000 paths are two batches,
+    # and both run on the calling thread
+    def start(self):
+        raise AssertionError(f"started thread {self.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    code, out4, _ = run_capture(capsys, VALIDATE_20000 + ["--threads", "4"])
+    assert code == 0
+    _, out, _ = run_capture(capsys, VALIDATE_20000)
+    assert out4 == out
 
 
 def test_scaling_subcommand_csv(capsys):
@@ -302,15 +315,6 @@ def test_unwritable_output_is_parameter_error(tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
     assert not target.exists()
-
-
-def test_threads_default_reads_environment(monkeypatch):
-    monkeypatch.setenv("TELEGRAPH_BOX_THREADS", "5")
-    assert cli._threads_default() == 5
-    monkeypatch.setenv("TELEGRAPH_BOX_THREADS", "junk")
-    assert cli._threads_default() == 1
-    monkeypatch.delenv("TELEGRAPH_BOX_THREADS")
-    assert cli._threads_default() == 1
 
 
 # stdout of one invocation per output path, in both machine formats; the

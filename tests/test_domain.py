@@ -7,15 +7,21 @@ large negative number, a fraction of the admissible bound, the bound
 itself or zero, and the descent is zero, a fraction of H or the last
 float below H.  Phase counts and matrix powers are up to 10^7 or
 between 10^300 and 10^400, and every function is called by keyword.
+The closed-form subcommands of the CLI keep its exit-code contract on
+the same inputs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import inspect
+import io
+import json
 import math
+import re
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from telegraph_box import (
     Boundary,
@@ -38,6 +44,7 @@ from telegraph_box import (
     transform_from_origin,
     wald_statistic,
 )
+from telegraph_box import cli
 
 log_uniform = st.floats(min_value=-300.0, max_value=300.0).map(lambda x: 10.0 ** x)
 alphas = st.floats(min_value=-320.0, max_value=0.0).map(lambda x: min(10.0 ** x, 1.0))
@@ -108,3 +115,52 @@ def test_closed_forms_are_finite_or_a_typed_error(lam, mu, h, velocity, alpha,
             if theta < p.mu:
                 _finite_or_typed(omega_of_theta, theta, p)
                 _finite_or_typed(wald_statistic, theta, d, p.effective_level, p)
+
+
+@st.composite
+def cli_argvs(draw) -> list[str]:
+    command = draw(st.sampled_from(("analytics", "mgf", "scaling")))
+    if command == "scaling":
+        c_values = sorted(draw(st.lists(log_uniform, min_size=1, max_size=3, unique=True)))
+        flags = {"--sigma": draw(log_uniform), "--drift-a": draw(log_uniform),
+                 "--drift-b": draw(log_uniform), "--h": draw(log_uniform),
+                 "--alpha": draw(alphas), "--c-values": ",".join(map(repr, c_values))}
+    else:
+        flags = {"--lambda": draw(log_uniform), "--mu": draw(log_uniform),
+                 "--h": draw(log_uniform), "--velocity": draw(log_uniform)}
+        if command == "analytics":
+            flags["--alpha"] = draw(alphas)
+        else:
+            try:
+                p = ModelParams(flags["--lambda"], flags["--mu"], flags["--h"],
+                                flags["--velocity"])
+                flags["--omega"] = draw(omegas(p))
+                if draw(st.booleans()):
+                    flags["--d"] = draw(descents(p.effective_level))
+            except TelegraphBoxError:
+                flags["--omega"] = -draw(log_uniform)
+    flags["--format"] = draw(st.sampled_from(("json", "csv", "table")))
+    # --flag=value, so that a negative omega is not read as a flag
+    return [command] + [f"{k}={v if isinstance(v, str) else repr(v)}"
+                        for k, v in flags.items()]
+
+
+@given(cli_argvs())
+@example(["scaling", "--h=1", "--alpha=0.5", "--sigma=1e-200", "--format=table"])
+@settings(max_examples=300, deadline=None)
+def test_cli_exits_0_with_finite_numbers_or_2_with_one_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if code != 0:
+        assert code == 2, (argv, code, err)
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        return
+    assert err == "", (argv, err)
+    if argv[-1] == "--format=json":
+        json.loads(out)
+    # every number, and JSON's Infinity and NaN, parses as a float
+    for token in re.split(r"[\s,:\[\]{}]+", out):
+        with contextlib.suppress(ValueError):
+            assert math.isfinite(float(token)), (argv, token)

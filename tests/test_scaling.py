@@ -48,6 +48,21 @@ def test_scaled_params_examples():
     assert math.isclose(p10.effective_level, 0.1, rel_tol=1e-15)
 
 
+@pytest.mark.parametrize("c, sigma", [
+    (1.0, 1e-200),   # sigma^2 underflows to 0
+    (1.0, 1e-160),   # sigma^2 is subnormal and the rates overflow
+    (1.0, 1e200),    # sigma^2 overflows and the rates round to 0
+    (1e200, 1.0),    # c^2 overflows
+])
+def test_scaled_params_past_float64_is_a_domain_error_naming_c_and_sigma(c, sigma):
+    spec = ScalingSpec(sigma, 0.5, 1.0, (c,))
+    with pytest.raises(DomainError) as info:
+        scaled_params(c, spec, 1.0)
+    assert f"c={c!r}" in str(info.value) and f"sigma={sigma!r}" in str(info.value)
+    with pytest.raises(DomainError):
+        scaling_sweep(spec, 1.0, SwitchingProb(0.5))
+
+
 def test_sweep_rows_match_direct_analytics():
     rows = scaling_sweep(SPEC, 1.0, SwitchingProb(0.5))
     assert tuple(r.c for r in rows) == SPEC.c_values
