@@ -37,12 +37,23 @@ _BLOCK_ROUNDS = 1024
 _BLOCK_CELLS = 2 ** 15
 _HAZARD_STOPS = 64
 
+# a running sum down the rows of a block adds one row at a time from
+# this many lanes on; below it, np.cumsum is cheaper (the timings of
+# both, by width and block height, are in BENCH_17.json, running_sum)
+_ROW_ADD_WIDTH = 512
+
 # retired lanes keep their columns in the array kernel's per-round path
 # until they are more than 1/_DEAD_SHARE of its columns: a compaction
 # copies every row of every column, so it waits for a share of them.
 # It copies through the kernel's scratch rows, so that no second large
-# array is made.
+# array is made.  A compaction that starts a round block, when the live
+# lanes fill at most 1/_SHRINK_SHARE of the columns, then moves them to
+# arrays their own size: the block scratch is made next, and the old
+# arrays would otherwise stay beside it.  Elsewhere new arrays cost more
+# than they free; at (1,2,1,0.5) shrinking at every quarter made
+# 2^14-lane calls about 3% slower.
 _DEAD_SHARE = 8
+_SHRINK_SHARE = 4
 
 
 @dataclass(frozen=True)
@@ -207,6 +218,36 @@ def _lane_rows(lanes):
     return lanes[0], lanes[1], lanes[2], lanes[3:5], bits[5], left, bits
 
 
+def _row_sum(a):
+    """a[0] + a[1] + ... + a[-1] down axis 0, added row after row: the last
+    row of np.cumsum(a, axis=0), bit for bit.  numpy sums one column
+    pairwise, so a one-column array takes the cumulative sum."""
+    if a.shape[1] == 1:
+        return np.cumsum(a, axis=0)[-1]
+    return np.add.reduce(a, axis=0)
+
+
+def _running_sum(a):
+    """np.cumsum(a, axis=0) in place: each row becomes the sum of the rows
+    up to it, added row after row."""
+    if a.shape[1] < _ROW_ADD_WIDTH:
+        np.cumsum(a, axis=0, out=a)
+    else:
+        for i in range(1, len(a)):
+            np.add(a[i - 1], a[i], out=a[i])
+
+
+def _compact(moved, keep, scratch):
+    """Move the columns `keep` (ascending) of `moved` to its front, in
+    place, as many at a time as `scratch` holds."""
+    width = scratch.size // len(moved)
+    for lo in range(0, keep.size, width):
+        cols = keep[lo:lo + width]
+        spare = scratch.reshape(-1)[:len(moved) * cols.size].reshape(len(moved), -1)
+        np.take(moved, cols, axis=1, out=spare, mode="clip")
+        moved[:, lo:lo + cols.size] = spare
+
+
 def _run_lanes(origin: bool, phases: np.ndarray, p: ModelParams, rng: RandomSource):
     """Run phases[i] >= 1 phases in a row on lane i, vectorized; all lanes
     start at the origin if `origin`, else at the level, and each later
@@ -236,7 +277,10 @@ def _run_lanes(origin: bool, phases: np.ndarray, p: ModelParams, rng: RandomSour
     recorded.  Its column stays, drawing 0 at a nan position so that it
     never stops again, until retired columns are more than 1/_DEAD_SHARE
     of the columns or a round block starts: the lanes are compacted only
-    then, in place, and never after a round in which lanes only restart.
+    then, and never after a round in which lanes only restart.  When a
+    round block starts and the live lanes fill at most 1/_SHRINK_SHARE of
+    the columns, they move to arrays their own size, and no view of the
+    old ones is kept.
     While all lanes head one way, a round's rate and wall are scalars;
     after a round block has set lanes heading both ways (below), they are
     read lane by lane until a compaction finds the lanes agreeing again.
@@ -246,12 +290,20 @@ def _run_lanes(origin: bool, phases: np.ndarray, p: ModelParams, rng: RandomSour
     lane at once, sized from the rounds a lane has taken to its own stop
     so far.  Inside a block each lane stops at its own first wall contact
     and its draws after that are dropped; a lane with phases left waits
-    for the next block.  When no lane runs through the whole block, the
-    generator is put back to where the rounds up to the last stop leave
-    it, so a single lane takes the draws of the round-by-round loop.  A
-    lane restarted in a block heads away from its wall from the next
-    round on, whatever that round's parity, so the lanes may then head
-    both ways in one round.
+    for the next block.  A block keeps one running sum, the positions,
+    since the wall test reads the position at every row.  The phase times
+    and the parity totals are read only at each lane's stop row, so the
+    lane's draws past it are set to 0 and the rows are summed straight
+    down, the running values in the first row: adding 0.0 is exact, so
+    every lane adds the same numbers in the same order as the
+    round-by-round loop, and a lane's parity totals end at its stop row.
+    The block scratch is made when the first block starts, sized by that
+    block, and made again only when a later block needs more.  When no lane
+    runs through the whole block, the generator is put back to where the
+    rounds up to the last stop leave it, so a single lane takes the draws
+    of the round-by-round loop.  A lane restarted in a block heads away
+    from its wall from the next round on, whatever that round's parity,
+    so the lanes may then head both ways in one round.
     """
     # a Python float, so that the wall's bits are float64 ones
     h, lam, mu = float(p.effective_level), p.lam, p.mu
@@ -279,6 +331,8 @@ def _run_lanes(origin: bool, phases: np.ndarray, p: ModelParams, rng: RandomSour
     scratch = np.empty((2, max(n, 4)))
     flags = np.empty(n, dtype=bool)
     alive = np.ones(n, dtype=bool)
+    # the round blocks' scratch, made when the first block starts
+    cells = None
     # columns, and retired columns among them
     k, dead = n, 0
     rounds = 0
@@ -289,23 +343,26 @@ def _run_lanes(origin: bool, phases: np.ndarray, p: ModelParams, rng: RandomSour
             raise ReversalCapExceeded(_REVERSAL_CAP)
         block = min(int(2 * lane_rounds / stops), _BLOCK_ROUNDS, _BLOCK_CELLS // kl) // 2 * 2
         if dead and (block >= _BLOCK_MIN or dead * _DEAD_SHARE > k):
-            # in place, as many columns at a time as the scratch rows
-            # hold; phases left matter only while lanes have restarts left
+            # phases left matter only while lanes have restarts left
             keep = np.flatnonzero(alive[:k])
-            moved = lanes[:7 if restarts else 6]
-            width = scratch.size // len(moved)
-            for lo in range(0, kl, width):
-                cols = keep[lo:lo + width]
-                spare = scratch.reshape(-1)[:len(moved) * cols.size].reshape(len(moved), -1)
-                np.take(moved, cols, axis=1, out=spare, mode="clip")
-                moved[:, lo:lo + cols.size] = spare
+            depth = 7 if restarts else 6
+            _compact(lanes[:depth], keep, scratch)
             np.take(up_even, keep, out=flags[:kl], mode="clip")
             up_even[:kl] = flags[:kl]
             k, dead = kl, 0
+            if block >= _BLOCK_MIN and k * _SHRINK_SHARE <= lanes.shape[1]:
+                # the old scratch rows, and the per-round path's views of
+                # them, go before the lanes are copied to arrays their size
+                scratch = draw = gap = stop = hit = cut = None
+                lanes, up_even = lanes[:depth, :k].copy(), up_even[:k].copy()
+                flags, alive = np.empty(k, dtype=bool), np.ones(k, dtype=bool)
+            else:
+                up_even = up_even[:k]
+                alive[:k] = True
             pos, cur, done, par, lane, left, bits = _lane_rows(lanes[:, :k])
-            up_even = up_even[:k]
+            if scratch is None:
+                scratch = np.empty((2, max(k, 4)))
             mixed = mixed and up_even.min() != up_even.max()
-            alive[:k] = True
         odd = rounds % 2
         if block < _BLOCK_MIN:
             if mixed:
@@ -354,22 +411,40 @@ def _run_lanes(origin: bool, phases: np.ndarray, p: ModelParams, rng: RandomSour
             end_up = up.take(at) if mixed else up
             same, other = par[odd].take(at), par[1 - odd].take(at)
         else:
-            up = up_even != odd
+            if cells is None or cells[2].size < block * k:
+                # draws, positions, gaps and wall contacts of a block, in
+                # cells; the draws and positions take two rows and one row
+                # more.  They are sized by the block that needs them and
+                # made again only when a later block needs more (k only
+                # falls, so block * k cells suffice); the old cells, and
+                # the last block's views of them, go first
+                cells = rows = track = contact = draws = start = gaps = past = None
+                cells = (np.empty((block + 2) * k), np.empty((block + 1) * k),
+                         np.empty(block * k), np.empty(block * k, dtype=bool))
+            # rows 0 and 1 of `rows` hold running values and row r + 2 the
+            # draws of block row r; pair i of a (-1, 2, k) view holds block
+            # rows 2i and 2i + 1, whose parities are those of rounds
+            # `rounds` and `rounds` + 1
+            rows = cells[0][:(block + 2) * k].reshape(block + 2, k)
+            track = cells[1][:(block + 1) * k].reshape(block + 1, k)
+            contact = cells[3][:block * k].reshape(block, k)
             saved = gen.bit_generator.state
-            going_up = np.stack((up, ~up))      # by the parity of a block row
-            # pair i holds block rows 2i and 2i+1
-            draws = gen.standard_exponential(block * k).reshape(-1, 2, k)
-            draws /= np.where(going_up, lam, mu)
-            # row i of track is the position at the start of block row i
-            track = np.empty((block + 1, k))
+            gen.standard_exponential(out=rows[2:])
+            draws = rows[2:].reshape(-1, 2, k)
+            # row r of track is the position at the start of block row r
             track[0] = pos
-            np.multiply(draws, np.where(going_up, 1.0, -1.0), out=track[1:].reshape(-1, 2, k))
-            np.cumsum(track, axis=0, out=track)
-            draws = draws.reshape(block, k)
             start = track[:-1].reshape(-1, 2, k)
-            hit = draws >= np.where(going_up, h - start, start).reshape(block, k)
-            first = hit.argmax(axis=0)
-            at = np.flatnonzero(hit[first, np.arange(k)])
+            up = up_even != odd
+            going_up = np.stack((up, ~up))
+            draws /= np.where(going_up, lam, mu)
+            np.multiply(draws, np.where(going_up, 1.0, -1.0), out=track[1:].reshape(-1, 2, k))
+            _running_sum(track)
+            gaps = cells[2][:block * k].reshape(-1, 2, k)
+            np.subtract(h, start, out=gaps)
+            np.copyto(gaps, start, where=~going_up)
+            np.greater_equal(draws, gaps, out=contact.reshape(-1, 2, k))
+            first = contact.argmax(axis=0)
+            at = np.flatnonzero(contact[first, np.arange(k)])
             t = first.take(at)
             lane_rounds += int(t.sum()) + at.size + (k - at.size) * block
             used = block
@@ -379,25 +454,28 @@ def _run_lanes(origin: bool, phases: np.ndarray, p: ModelParams, rng: RandomSour
                 gen.standard_exponential(used * k)
             if rounds + used > _REVERSAL_CAP:
                 raise ReversalCapExceeded(_REVERSAL_CAP)
-            # duration and the two parity totals, summed row after row as
-            # the per-round path sums them; column 0 of tot is the parity
-            # of even block rows, the parity of round `rounds`
-            dur = np.empty((used + 1, k))
-            dur[0] = cur
-            dur[1:] = draws[:used]
-            np.cumsum(dur, axis=0, out=dur)
-            pairs = (used + 1) // 2
-            tot = np.empty((pairs + 1, 2, k))
-            tot[0] = par[[odd, 1 - odd]]
-            tot[1:] = draws[:2 * pairs].reshape(pairs, 2, k)
-            np.cumsum(tot, axis=0, out=tot)
+            # each lane's draws past its stop row become 0, then its parity
+            # totals and, with its stop row's draw dropped too, its phase
+            # time are summed straight down the rows, as the per-round path
+            # sums them; the rows span whole pairs
+            last = np.full(k, block)
+            last[at] = t
+            span = used + used % 2
+            past = contact[:span]
+            np.greater(np.arange(span)[:, None], last, out=past)
+            np.copyto(rows[2:span + 2], 0.0, where=past)
+            rows[0], rows[1] = par[odd], par[1 - odd]
+            tot = _row_sum(rows[:span + 2].reshape(-1, 2 * k)).reshape(2, k)
+            rows[t + 2, at] = 0.0
+            rows[1] = cur
+            cur[:] = _row_sum(rows[1:used + 2])
+            par[odd], par[1 - odd] = tot
+            pos[:] = track[used]
             half = t % 2
             end_up = going_up[half, at]
             where = track[t, at]
-            same, other = tot[t // 2 + 1, half, at], tot[t // 2 + half, 1 - half, at]
-            if used == block:
-                pos[:], cur[:], par[[odd, 1 - odd]] = track[-1], dur[-1], tot[-1]
-            done[at] += dur[t, at] + np.where(end_up, h - where, where)
+            same, other = tot[half, at], tot[1 - half, at]
+            done[at] += cur.take(at) + np.where(end_up, h - where, where)
             t = t + rounds
             hits = at.size
             # a lane with phases left heads away from its wall from the

@@ -12,6 +12,7 @@ them.
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,8 +32,10 @@ from telegraph_box.simulate import _run_absorption, _run_phases
 N = 4096
 SEEDS = (7, 8)
 
-# (lam, mu, H): phase runs do not depend on alpha
-PHASE_CASES = ((1.0, 2.0, 1.0), (5.0, 5.0, 20.0))
+# (lam, mu, H): phase runs do not depend on alpha.  At (2,2,5), r*H = 10,
+# lanes stop early in their round blocks; (5,4,20) runs round blocks at
+# unequal rates.
+PHASE_CASES = ((1.0, 2.0, 1.0), (5.0, 5.0, 20.0), (2.0, 2.0, 5.0), (5.0, 4.0, 20.0))
 # (lam, mu, H, alpha)
 ABSORPTION_CASES = ((1.0, 2.0, 1.0, 0.5), (5.0, 5.0, 20.0, 1.0), (1.0, 2.0, 1.0, 0.02))
 
@@ -63,6 +66,22 @@ PHASE_DIGESTS = {
     ((5.0, 5.0, 20.0), 8): (
         '16998e9977dde97cc4bcbb8042d279678625be181fc04cead766fc1d8e34fe1d',
         'eebe823fbb15ed6c96ebd980f70333765c4b0d8d42347f151f463e0c2afcecc0',
+    ),
+    ((2.0, 2.0, 5.0), 7): (
+        'b969204a579dfe90e57d9d7adb9f420436eb17e450a66bd7dfb3b4c5d2a933ad',
+        '5c5c5e47f01a8ebb70142526f9e031221c39ab90b121622a3d59aa94a9506a52',
+    ),
+    ((2.0, 2.0, 5.0), 8): (
+        '3113c9ca25d0257ae13136d6397c9353afc25ba601a2c2df4262960b751330ea',
+        '9e36c297aede8aedb34a42d519a7a5fad28c1d6dd757e1e540e58618e110a185',
+    ),
+    ((5.0, 4.0, 20.0), 7): (
+        '87e79de7fd6f564a14cdaac2a2da3c239b76630673cfef3b49852faef616313e',
+        '666a03bac8b99efafe7cdd9bcb561fe22f7dd4ac86e49079d8ec2fa325f27ccd',
+    ),
+    ((5.0, 4.0, 20.0), 8): (
+        '90438f4ef27d7dc7da17ac2e46092d0ab996587ca56a461d070749b3857259e3',
+        '654feee5756025c82ab5651c03eab0429bf3c2771a1cd0b2d33a19aeecb7336f',
     ),
 }
 
@@ -147,6 +166,12 @@ STREAM_DIGESTS = {
         '97a2b28688be11f3a246d992544bf5c1cd9fbe2fc2f1b05e18a243792a495093',
     ("phases", (5.0, 5.0, 20.0), "level", N, 8):
         '2b3c4648728ed775e8ad4beb583bd3aa7664d8558489e9dd0cd67ffb41a3e737',
+    ("phases", (2.0, 2.0, 5.0), "origin", N, 7):
+        'bfb7123295937eace0dc6bb1d827ef7f818a2b582daee09f8556c0ae6b7cc324',
+    ("phases", (5.0, 4.0, 20.0), "level", N, 8):
+        '39334b461cceff7fb60635d044f024d3c9c35e3ca9dbf3675d8a7339b52ebbbd',
+    ("phases", (5.0, 4.0, 20.0), "origin", 64, 7):
+        '30d223dc63649494102c42b01b1d54a7a4f1b2535ce956513d99f23f16f18d49',
     ("absorption", (5.0, 5.0, 20.0), 1.0, 64, 7):
         '926e6e9fe9825447514556245f0d593513865b2f299a7c60caf596a260faad18',
     ("absorption", (5.0, 5.0, 20.0), 1.0, N, 8):
@@ -155,6 +180,13 @@ STREAM_DIGESTS = {
         '66dd29627c1340a82333a1a0f91617ba0425b5e7a4e94083194dfcbdf417bed6',
     ("absorption", (1.0, 2.0, 1.0), 0.02, N, 8):
         '47f3ba691d3cfda20634fcad87659f3f3da15f3200c0d9471cea2dcc32374e69',
+    # unequal rates while round blocks restart lanes
+    ("absorption", (5.0, 4.0, 20.0), 0.2, N, 7):
+        'caff29fd1f00c6640e07b426460a6eb357ba35758e5e19ecde8b1d088f19f972',
+    ("absorption", (5.0, 4.0, 20.0), 0.2, 64, 8):
+        'bd4eb3efb0a9b169bbca7848c8926b905d5010212346d81cea42aa5ea81467f5',
+    ("absorption", (2.0, 2.0, 5.0), 0.1, N, 8):
+        '8e4c0455ad21ff581d8da6200f5d4c78e045be30a9909de5e5777561a4166d26',
     # at (1,1,2) a round block that restarts lanes off the round parity
     # hands lanes heading both ways to the per-round path
     ("absorption", (1.0, 1.0, 2.0), 0.2, 64, 7):
@@ -276,3 +308,42 @@ def test_scalar_absorption_matches_the_lane_kernel(case):
         assert (path.m, path.total_time, path.absorbed_at is Boundary.LEVEL) == (
             int(m[0]), float(total[0]), bool(at_level[0])), (case, i)
         assert scalar.gen.bit_generator.state == lanes.gen.bit_generator.state
+
+
+# The round blocks sum their rows straight down with _row_sum, and the
+# result must be the last row of the cumulative sum bit for bit, for every
+# shape a block takes: numpy adds a one-column array pairwise, so a numpy
+# that reorders either sum fails here by name.
+@pytest.mark.parametrize("width", [1, 2, 3, 64, 4096])
+def test_row_sum_is_the_last_row_of_the_cumulative_sum(width):
+    gen = np.random.default_rng(width)
+    top = min(simulate._BLOCK_ROUNDS, simulate._BLOCK_CELLS // width) + 2
+    for height in sorted({1, 2, 3, 9, 17, 130, 513, top} & set(range(1, top + 1))):
+        for _ in range(20):
+            shape = (height, width)
+            a = gen.standard_exponential(shape) * 10.0 ** gen.integers(-8, 9, shape)
+            assert np.array_equal(simulate._row_sum(a), np.cumsum(a, axis=0)[-1]), (height, width)
+            b = a.copy()
+            simulate._running_sum(b)
+            assert np.array_equal(b, np.cumsum(a, axis=0)), (height, width)
+
+
+# The round blocks' scratch is made when the first block starts, sized by
+# the block, and the old scratch and its views go when a later block needs
+# more; the lanes move to arrays their own size, so that at 2^14 lanes a call
+# in the block regime, (5,5,20), peaks no higher than one that never
+# starts a block, (1,2,1): the arrays every call makes set both peaks.
+@pytest.mark.parametrize("alpha", [1.0, 0.2])
+def test_round_blocks_add_no_memory_peak(alpha):
+    def peak(*case):
+        p, s = ModelParams(*case), SwitchingProb(alpha)
+        _run_absorption(p, s, RandomSource(1, 0), 2 ** 14)
+        tracemalloc.start()
+        try:
+            _run_absorption(p, s, RandomSource(1, 0), 2 ** 14)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    blocks, rounds = peak(5.0, 5.0, 20.0), peak(1.0, 2.0, 1.0)
+    assert blocks <= 1.1 * rounds, (blocks, rounds)
