@@ -55,6 +55,15 @@ _ROW_ADD_WIDTH = 512
 _DEAD_SHARE = 8
 _SHRINK_SHARE = 4
 
+# the array kernel's per-round path runs in plain Python once at most this
+# many lanes are live.  A numpy round costs 35-47 us from 1 to 256 lanes,
+# almost all of it call overhead; a Python round costs about 0.5-0.7 us
+# a lane plus a few us, so the two cross at about 60-90 lanes.  Whole
+# 2^14-path calls at (1,2,1,0.02) ran within 3% of each other at 16 to
+# 128 lanes, 10% slower at 256 and 19% slower in numpy only
+# (BENCH_18.json, tail_width)
+_TAIL_LANES = 64
+
 
 @dataclass(frozen=True)
 class PhaseRecord:
@@ -248,6 +257,89 @@ def _compact(moved, keep, scratch):
         moved[:, lo:lo + cols.size] = spare
 
 
+def _block_rounds(lane_rounds, stops, live):
+    """The rounds of the next round block: about twice the lane-rounds
+    per stop so far, capped in rounds and in draws, and even."""
+    return min(int(2 * lane_rounds / stops), _BLOCK_ROUNDS, _BLOCK_CELLS // live) // 2 * 2
+
+
+def _run_tail(origin, h, lam, mu, gen, lanes, up_even, counts, out):
+    """The per-round path of _run_lanes in plain Python, for a few lanes.
+
+    `lanes` holds the live columns of the kernel's lane array in column
+    order, `up_even` their headings on even rounds, `counts` the kernel's
+    (rounds, stops, lane_rounds, restarts) and `out` its output arrays.
+    Runs rounds until no lane is left or a round block would start, and
+    returns the lane array and headings of the lanes left, in the same
+    order and sized to them, with the counts updated.  A round draws one
+    exponential per live lane in column order, as the per-round path does.
+    """
+    rounds, stops, lane_rounds, restarts = counts
+    end_level, duration, n_switches, t_stop, y_stop = out
+    bits = lanes.view(np.int64)
+    # phases left is kept only while lanes have restarts left; then every
+    # live lane runs its last phase, and the row, if there, is stale
+    left = bits[6].tolist() if restarts else [1] * lanes.shape[1]
+    # per lane: position, current and completed phase time, even and odd
+    # draw totals, phases left, index and heading on even rounds
+    live = [list(s) for s in zip(*lanes[:5].tolist(), left, bits[5].tolist(), up_even.tolist())]
+    # by heading up; Python floats, since x / np.float32 stays float32
+    rate, wall = (-float(mu), float(lam)), (0.0, h)
+    while live:
+        if rounds == _REVERSAL_CAP:
+            raise ReversalCapExceeded(_REVERSAL_CAP)
+        kl = len(live)
+        if _block_rounds(lane_rounds, stops, kl) >= _BLOCK_MIN:
+            break
+        odd = rounds % 2
+        same, other = 3 + odd, 4 - odd
+        hits = ended = 0
+        # the per-round path's arithmetic, lane by lane: min(x, gap) is x
+        # below the gap and the gap at a stop, and a stop adds the phase
+        # time to the completed time, then restarts the lane at its wall
+        # or records it
+        for s, x in zip(live, gen.standard_exponential(kl).tolist()):
+            up = s[7] != odd
+            w = wall[up]
+            x /= rate[up]
+            gap = abs(w - s[0])
+            s[0] += x
+            x = abs(x)
+            s[same] += x
+            if x < gap:
+                s[1] += x
+                continue
+            hits += 1
+            s[2] += s[1] + gap
+            s[5] -= 1
+            if s[5]:
+                s[0], s[1] = w, 0.0
+            else:
+                i, o = s[6], s[other]
+                duration[i], end_level[i], n_switches[i] = s[2], up, rounds
+                t_stop[i] = o + h * up if origin else o
+                y_stop[i] = o if up else s[same]
+                ended += 1
+        lane_rounds += kl
+        rounds += 1
+        restarts -= hits - ended
+        if hits:
+            stops += hits
+            if stops > _HAZARD_STOPS:
+                stops, lane_rounds = stops / 2, lane_rounds / 2
+        if ended:
+            live = [s for s in live if s[5]]
+    rest = np.empty((7 if restarts else 6, len(live)))
+    if live:
+        cols = list(zip(*live))
+        rest[:5] = cols[:5]
+        bits = rest.view(np.int64)
+        bits[5] = cols[6]
+        if restarts:
+            bits[6] = cols[5]
+    return rest, np.array([s[7] for s in live], dtype=bool), (rounds, stops, lane_rounds, restarts)
+
+
 def _run_lanes(origin: bool, phases: np.ndarray, p: ModelParams, rng: RandomSource):
     """Run phases[i] >= 1 phases in a row on lane i, vectorized; all lanes
     start at the origin if `origin`, else at the level, and each later
@@ -304,6 +396,18 @@ def _run_lanes(origin: bool, phases: np.ndarray, p: ModelParams, rng: RandomSour
     of the round-by-round loop.  A lane restarted in a block heads away
     from its wall from the next round on, whatever that round's parity,
     so the lanes may then head both ways in one round.
+
+    Where the per-round path would run with at most _TAIL_LANES lanes
+    live, _run_tail runs it in plain Python instead, since a narrow numpy
+    round costs its calls' fixed overhead whatever its width.  It runs
+    until no lane is left or a round block would start, then hands the
+    lanes left back in arrays their own size.  It is stream-exact: each
+    round it draws one exponential per live lane in column order, as the
+    per-round path does, and does the same IEEE operations on each lane
+    in the same order, with its rate and wall as Python floats.  It reads
+    the phases-left row only while lanes have restarts left, since
+    compactions after that leave it stale.  So no output and no
+    generator state depends on _TAIL_LANES.
     """
     # a Python float, so that the wall's bits are float64 ones
     h, lam, mu = float(p.effective_level), p.lam, p.mu
@@ -341,7 +445,21 @@ def _run_lanes(origin: bool, phases: np.ndarray, p: ModelParams, rng: RandomSour
     while (kl := k - dead):
         if rounds == _REVERSAL_CAP:
             raise ReversalCapExceeded(_REVERSAL_CAP)
-        block = min(int(2 * lane_rounds / stops), _BLOCK_ROUNDS, _BLOCK_CELLS // kl) // 2 * 2
+        block = _block_rounds(lane_rounds, stops, kl)
+        if block < _BLOCK_MIN and kl <= _TAIL_LANES:
+            live = np.flatnonzero(alive[:k])
+            lanes, up_even, (rounds, stops, lane_rounds, restarts) = _run_tail(
+                origin, h, lam, mu, gen, lanes[:, live], up_even[live],
+                (rounds, stops, lane_rounds, restarts),
+                (end_level, duration, n_switches, t_stop, y_stop))
+            # the per-round path's views of the old scratch rows go with them
+            k, dead = lanes.shape[1], 0
+            draw = gap = stop = hit = cut = None
+            pos, cur, done, par, lane, left, bits = _lane_rows(lanes)
+            scratch = np.empty((2, max(k, 4)))
+            flags, alive = np.empty(k, dtype=bool), np.ones(k, dtype=bool)
+            mixed = up_even.any() and not up_even.all()
+            continue
         if dead and (block >= _BLOCK_MIN or dead * _DEAD_SHARE > k):
             # phases left matter only while lanes have restarts left
             keep = np.flatnonzero(alive[:k])

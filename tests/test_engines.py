@@ -16,6 +16,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from telegraph_box import (
     Boundary,
@@ -38,6 +39,13 @@ SEEDS = (7, 8)
 PHASE_CASES = ((1.0, 2.0, 1.0), (5.0, 5.0, 20.0), (2.0, 2.0, 5.0), (5.0, 4.0, 20.0))
 # (lam, mu, H, alpha)
 ABSORPTION_CASES = ((1.0, 2.0, 1.0, 0.5), (5.0, 5.0, 20.0, 1.0), (1.0, 2.0, 1.0, 0.02))
+
+# _TAIL_LANES: 0 runs the per-round path in numpy only, 10 ** 9 in plain
+# Python only; every width takes the same draws and does the same IEEE
+# operations, so it moves no output byte and no generator state
+TAIL_WIDTHS = (0, simulate._TAIL_LANES, 10 ** 9)
+TAIL_OFF_ON = pytest.mark.parametrize("tail", [0, simulate._TAIL_LANES],
+                                      ids=["tail-off", "tail-on"])
 
 
 def _digest(arrays) -> str:
@@ -141,15 +149,22 @@ def test_array_absorption_budget_is_checked_before_any_phase():
 # effective_level; a restart reads the wall's float64 bits, so a run on
 # float32 fields must match the run on the same values as float64.
 # (1,1,2,0.05) hands the per-round path lanes heading both ways.
+# The plain-Python tail keeps its rates Python floats: x / np.float32
+# would stay float32.
 @pytest.mark.parametrize("case", [(1.0, 2.0, 1.0, 0.2), (1.0, 1.0, 2.0, 0.05)])
-def test_float32_parameters_run_as_their_float64_values(case):
+def test_float32_parameters_run_as_their_float64_values(monkeypatch, case):
     p64 = ModelParams(*case[:3])
     p32 = validate_params(ModelParams(*map(np.float32, case[:3])))
     s = SwitchingProb(case[3])
     for n in (1, 64, N):
-        a, b = RandomSource(3, 1), RandomSource(3, 1)
-        assert _digest(_run_absorption(p32, s, a, n)) == _digest(_run_absorption(p64, s, b, n))
-        assert a.gen.bit_generator.state == b.gen.bit_generator.state
+        monkeypatch.setattr(simulate, "_TAIL_LANES", 0)
+        b = RandomSource(3, 1)
+        want = _digest(_run_absorption(p64, s, b, n))
+        for width in TAIL_WIDTHS:
+            monkeypatch.setattr(simulate, "_TAIL_LANES", width)
+            a = RandomSource(3, 1)
+            assert _digest(_run_absorption(p32, s, a, n)) == want, (n, width)
+            assert a.gen.bit_generator.state == b.gen.bit_generator.state, (n, width)
 
 
 # Digests of an engine's outputs plus the next 8 uniforms its generator
@@ -205,6 +220,13 @@ STREAM_DIGESTS = {
         '4a7177a57feaa71b6424e8f9f45d442664bc149db9ef40762b0f04aadb526c6c',
     ("absorption", (1.0, 1.0, 2.0), 0.05, N, 8):
         '1486099fa3f1fe6acd917089f5189ec41312e9478c3381f580c8dc12419f29b2',
+    # at alpha = 0.999 the few restarts run out while many lanes are live;
+    # later compactions leave the phases-left row stale, and the tail
+    # starts with a lane's last phase
+    ("absorption", (1.0, 2.0, 1.0), 0.999, 1024, 7):
+        'd4e203814c15cf75505b33e1c0370cb6c1401604d2dd6f68786d31ec3118b1d5',
+    ("absorption", (1.0, 2.0, 1.0), 0.999, N, 8):
+        'd785ded9fbf9089bbf36dc017bb71dc8502b1df601bb2f06e18c8c2e60a0b0aa',
 }
 
 
@@ -217,21 +239,29 @@ def _run(engine, case, arg, n, rng):
 
 
 @pytest.mark.parametrize("key", list(STREAM_DIGESTS), ids=str)
-def test_engine_outputs_and_generator_position_are_pinned(key):
+def test_engine_outputs_and_generator_position_are_pinned(monkeypatch, key):
     engine, case, arg, n, seed = key
-    rng = RandomSource(seed, 4)
-    out = _run(engine, case, arg, n, rng)
-    assert _digest((*out, rng.gen.random(8))) == STREAM_DIGESTS[key]
+    states = []
+    for width in TAIL_WIDTHS:
+        monkeypatch.setattr(simulate, "_TAIL_LANES", width)
+        rng = RandomSource(seed, 4)
+        out = _run(engine, case, arg, n, rng)
+        states.append(rng.gen.bit_generator.state)
+        assert _digest((*out, rng.gen.random(8))) == STREAM_DIGESTS[key], width
+    assert states[1:] == states[:-1]
 
 
 # A single lane takes the draws of the round-by-round loop at any block
 # size: a block it stops in is cut back to the rounds it used, so its
 # outputs and the generator's position, a buffered 32-bit half word
 # included, do not depend on _BLOCK_MIN.  At (5,5,20,0.1) a lane restarts
-# about ten times, at (1,2,1,0.02) about fifty.
+# about ten times, at (1,2,1,0.02) about fifty.  With the tail on, a lane
+# runs its per-round stretches in plain Python; with it off, in numpy.
+@TAIL_OFF_ON
 @pytest.mark.parametrize("case", [(5.0, 5.0, 20.0, 0.1), (5.0, 5.0, 20.0, 1.0),
                                   (1.0, 2.0, 1.0, 0.02)])
-def test_one_lane_does_not_depend_on_the_block_size(monkeypatch, case):
+def test_one_lane_does_not_depend_on_the_block_size(monkeypatch, case, tail):
+    monkeypatch.setattr(simulate, "_TAIL_LANES", tail)
     p, s = ModelParams(*case[:3]), SwitchingProb(case[3])
 
     def run(seed, block_min):
@@ -284,9 +314,11 @@ SCALAR_CASES = ((1.0, 2.0, 1.0), (5.0, 5.0, 20.0), (0.3, 3.0, 2.0), (3.0, 0.3, 2
                 (2.0, 1.0, 0.1))
 
 
+@TAIL_OFF_ON
 @pytest.mark.parametrize("case", SCALAR_CASES)
 @pytest.mark.parametrize("start", [Boundary.ORIGIN, Boundary.LEVEL])
-def test_scalar_phase_matches_the_lane_kernel(case, start):
+def test_scalar_phase_matches_the_lane_kernel(monkeypatch, case, start, tail):
+    monkeypatch.setattr(simulate, "_TAIL_LANES", tail)
     p = ModelParams(*case)
     for i in range(200):
         scalar, lanes = RandomSource(3, i), RandomSource(3, i)
@@ -308,6 +340,37 @@ def test_scalar_absorption_matches_the_lane_kernel(case):
         assert (path.m, path.total_time, path.absorbed_at is Boundary.LEVEL) == (
             int(m[0]), float(total[0]), bool(at_level[0])), (case, i)
         assert scalar.gen.bit_generator.state == lanes.gen.bit_generator.state
+
+
+log_uniform = st.floats(min_value=-2.3, max_value=2.3).map(np.exp)
+
+
+# Any tail width gives the numpy-only outputs and generator position, at
+# random small points with float64 or float32 fields: the lanes hand over
+# to the tail and back to round blocks at varying points of a call.  Near
+# alpha = 1 the restarts run out while lanes are live, and narrow tails
+# start only after compactions past that point.
+@given(log_uniform, log_uniform, log_uniform,
+       st.floats(min_value=0.02, max_value=1.0) | st.floats(min_value=0.9, max_value=1.0),
+       st.integers(min_value=1, max_value=300),
+       st.integers(min_value=1, max_value=8) | st.integers(min_value=1, max_value=320),
+       st.sampled_from([np.float64, np.float32]), st.integers(min_value=0, max_value=2 ** 32))
+@settings(max_examples=40, deadline=None)
+def test_tail_width_moves_no_byte_at_random_points(lam, mu, h, alpha, n, width, dtype, seed):
+    p, s = ModelParams(*map(dtype, (lam, mu, h))), SwitchingProb(alpha)
+
+    def run(tail):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulate, "_TAIL_LANES", tail)
+            out = []
+            for i, call in enumerate((lambda rng: _run_phases(Boundary.ORIGIN, p, rng, n),
+                                      lambda rng: _run_phases(Boundary.LEVEL, p, rng, n),
+                                      lambda rng: _run_absorption(p, s, rng, n))):
+                rng = RandomSource(seed, i)
+                out.append((_digest(call(rng)), rng.gen.bit_generator.state))
+            return out
+
+    assert run(width) == run(0)
 
 
 # The round blocks sum their rows straight down with _row_sum, and the
