@@ -110,10 +110,14 @@ def _batch_moments(p: ModelParams, s: SwitchingProb, seed: int,
     cols["mh0"] = np.where(~endl, dur, 0.0)
     cols["mhh"] = np.where(endl, dur, 0.0)
 
-    x = np.array([cols[name] for name in _QUANTITIES], dtype=float)
-    sums = x.sum(axis=1)
-    x *= x      # in place, not a second (12, size) matrix
-    return np.stack((np.full(_NQ, float(size)), sums, x.sum(axis=1)), axis=1)
+    # column by column, not through a (12, size) matrix: each sum is the
+    # same pairwise sum over one contiguous column
+    moments = np.empty((_NQ, 3))
+    moments[:, 0] = size
+    for row, name in zip(moments, _QUANTITIES):
+        x = np.asarray(cols[name], dtype=float)
+        row[1:] = x.sum(), (x * x).sum()
+    return moments
 
 
 def _reduce_pairwise(blocks: list[np.ndarray]) -> np.ndarray:

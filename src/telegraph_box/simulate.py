@@ -61,7 +61,9 @@ _SHRINK_SHARE = 4
 # a lane plus a few us, so the two cross at about 60-90 lanes.  Whole
 # 2^14-path calls at (1,2,1,0.02) ran within 3% of each other at 16 to
 # 128 lanes, 10% slower at 256 and 19% slower in numpy only
-# (BENCH_18.json, tail_width)
+# (BENCH_18.json, tail_width).  A multi-phase call's numpy round, with
+# no parity sums, costs 15-18 us; its whole calls still run within 2% of
+# each other at 24 to 96 lanes (BENCH_19.json, tail_width)
 _TAIL_LANES = 64
 
 
@@ -221,10 +223,11 @@ def dual_representation_check(ph: PhaseRecord, p: ModelParams) -> DualCheck:
 
 
 def _lane_rows(lanes):
-    """Views of the lane array of _run_lanes, row by row, and its bits."""
+    """Views of the lane array of _run_lanes, row by row, and the bits
+    of its positions and current phase times."""
     bits = lanes.view(np.int64)
     left = bits[6] if len(lanes) > 6 else None
-    return lanes[0], lanes[1], lanes[2], lanes[3:5], bits[5], left, bits
+    return lanes[0], lanes[1], lanes[2], lanes[3:5], bits[5], left, bits[0], bits[1]
 
 
 def _row_sum(a):
@@ -268,7 +271,8 @@ def _run_tail(origin, h, lam, mu, gen, lanes, up_even, counts, out):
 
     `lanes` holds the live columns of the kernel's lane array in column
     order, `up_even` their headings on even rounds, `counts` the kernel's
-    (rounds, stops, lane_rounds, restarts) and `out` its output arrays.
+    (rounds, stops, lane_rounds, restarts) and `out` its output arrays,
+    the last three None in a multi-phase call, which keeps no parity sums.
     Runs rounds until no lane is left or a round block would start, and
     returns the lane array and headings of the lanes left, in the same
     order and sized to them, with the counts updated.  A round draws one
@@ -276,6 +280,7 @@ def _run_tail(origin, h, lam, mu, gen, lanes, up_even, counts, out):
     """
     rounds, stops, lane_rounds, restarts = counts
     end_level, duration, n_switches, t_stop, y_stop = out
+    one = n_switches is not None
     bits = lanes.view(np.int64)
     # phases left is kept only while lanes have restarts left; then every
     # live lane runs its last phase, and the row, if there, is stale
@@ -283,8 +288,8 @@ def _run_tail(origin, h, lam, mu, gen, lanes, up_even, counts, out):
     # per lane: position, current and completed phase time, even and odd
     # draw totals, phases left, index and heading on even rounds
     live = [list(s) for s in zip(*lanes[:5].tolist(), left, bits[5].tolist(), up_even.tolist())]
-    # by heading up; Python floats, since x / np.float32 stays float32
-    rate, wall = (-float(mu), float(lam)), (0.0, h)
+    # Python floats, since x / np.float32 stays float32
+    lam, mu = float(lam), float(mu)
     while live:
         if rounds == _REVERSAL_CAP:
             raise ReversalCapExceeded(_REVERSAL_CAP)
@@ -294,18 +299,22 @@ def _run_tail(origin, h, lam, mu, gen, lanes, up_even, counts, out):
         odd = rounds % 2
         same, other = 3 + odd, 4 - odd
         hits = ended = 0
-        # the per-round path's arithmetic, lane by lane: min(x, gap) is x
-        # below the gap and the gap at a stop, and a stop adds the phase
-        # time to the completed time, then restarts the lane at its wall
-        # or records it
+        # the per-round path's arithmetic, lane by lane, on unsigned
+        # draws: min(x, gap) is x below the gap and the gap at a stop, and
+        # a stop adds the phase time to the completed time, then restarts
+        # the lane at its wall or records it
         for s, x in zip(live, gen.standard_exponential(kl).tolist()):
             up = s[7] != odd
-            w = wall[up]
-            x /= rate[up]
-            gap = abs(w - s[0])
-            s[0] += x
-            x = abs(x)
-            s[same] += x
+            if up:
+                x /= lam
+                gap = h - s[0]
+                s[0] += x
+            else:
+                x /= mu
+                gap = s[0]
+                s[0] -= x
+            if one:
+                s[same] += x
             if x < gap:
                 s[1] += x
                 continue
@@ -313,12 +322,15 @@ def _run_tail(origin, h, lam, mu, gen, lanes, up_even, counts, out):
             s[2] += s[1] + gap
             s[5] -= 1
             if s[5]:
-                s[0], s[1] = w, 0.0
+                s[0], s[1] = h if up else 0.0, 0.0
             else:
-                i, o = s[6], s[other]
-                duration[i], end_level[i], n_switches[i] = s[2], up, rounds
-                t_stop[i] = o + h * up if origin else o
-                y_stop[i] = o if up else s[same]
+                i = s[6]
+                duration[i], end_level[i] = s[2], up
+                if one:
+                    o = s[other]
+                    n_switches[i] = rounds
+                    t_stop[i] = o + h * up if origin else o
+                    y_stop[i] = o if up else s[same]
                 ended += 1
         lane_rounds += kl
         rounds += 1
@@ -345,37 +357,55 @@ def _run_lanes(origin: bool, phases: np.ndarray, p: ModelParams, rng: RandomSour
     start at the origin if `origin`, else at the level, and each later
     phase of a lane at the wall the one before it hit.
 
-    Returns arrays (end_is_level, duration, n_switches, t_stop, y_stop)
-    as _run_phases does; end_is_level is that of a lane's last phase and
-    duration the sum of its phases' durations.  All lanes start together
-    and reverse every round, so a lane's draws alternate direction with
-    the round parity.  Each column of the array `lanes` is a lane: its
-    position, the duration of its current phase and of the phases it has
-    completed, its draws summed over even and over odd rounds (read as up
-    or down totals when it retires), and as int64 bits its index and,
-    when any lane runs more than one phase, its phases left.  A bool row
-    beside it says whether the lane heads up on even rounds.  A lane that
-    stops with phases left is restarted in place at its wall, heading
-    away from it; the parity sums then span several phases, so
-    n_switches, t_stop and y_stop hold only for one-phase lanes.
-    _REVERSAL_CAP bounds the rounds of the whole call, restarts included.
+    Returns (end_is_level, duration, n_switches, t_stop, y_stop); a
+    one-phase call (every phases[i] == 1) returns them as _run_phases
+    does.  A multi-phase call returns only end_is_level, that of a lane's
+    last phase, and duration, the sum of its phases' durations, which is
+    all _run_absorption reads, and None in the other three places: it
+    keeps no parity sums, and n_switches, t_stop and y_stop of a chain of
+    phases would mean nothing.  All lanes start together and reverse
+    every round, so a lane's draws alternate direction with the round
+    parity.  Each column of the array `lanes` is a lane: its position,
+    the duration of its current phase and of the phases it has
+    completed, its draws summed over even and over odd rounds (read as
+    up or down totals when it retires; they stay 0 in a multi-phase
+    call), and as int64 bits its index and, when any lane runs more than
+    one phase, its phases left.  A bool row beside it says whether the
+    lane heads up on even rounds.  A lane that stops with phases left is
+    restarted in place at its wall, heading away from it.  _REVERSAL_CAP
+    bounds the rounds of the whole call, restarts included.
 
     In the per-round path a restart is arithmetic on the lanes' rows: an
     all-ones bit mask over the stopped lanes moves their phase time from
-    the current to the completed total and their position to the wall
-    they hit, and takes one off their phases left, in place and exactly,
+    the current to the completed total and an up lane's position to the
+    level, and takes one off their phases left, in place and exactly,
     so a lane's duration adds the same numbers in the same order as one
-    phase at a time would.  Only a lane that has run its last phase is
-    recorded.  Its column stays, drawing 0 at a nan position so that it
-    never stops again, until retired columns are more than 1/_DEAD_SHARE
+    phase at a time would.  A round heading down puts its stopped lanes
+    at the origin with one np.maximum(pos, 0.0): a stopped lane is at
+    pos - d <= 0 (+0.0 at equality under round-to-nearest, -inf after
+    an infinite draw), a lane that did not stop at pos - d > 0, and a
+    retired one at nan, which the maximum keeps.  A round heading up
+    keeps the mask, since fl(pos + d) may fall short of h at a rounding
+    tie.  (Masked ufuncs, np.add, np.copyto and np.subtract with where=,
+    took 597 us against 53 us for a restart at 16384 lanes, and lose at
+    256 lanes too; BENCH_19.json, masked_restart.)  Only a lane that has
+    run its last phase is recorded; in a one-phase call its completed
+    time is 0.0 until then, so its duration is read from its current
+    one.  Its column stays, drawing nan, which never stops and leaves it
+    at a nan position, until retired columns are more than 1/_DEAD_SHARE
     of the columns or a round block starts: the lanes are compacted only
     then, and never after a round in which lanes only restart.  When a
-    round block starts and the live lanes fill at most 1/_SHRINK_SHARE of
-    the columns, they move to arrays their own size, and no view of the
-    old ones is kept.
-    While all lanes head one way, a round's rate and wall are scalars;
-    after a round block has set lanes heading both ways (below), they are
-    read lane by lane until a compaction finds the lanes agreeing again.
+    round block starts and the live lanes fill at most 1/_SHRINK_SHARE
+    of the columns, they move to arrays their own size, and no view of
+    the old ones is kept.
+    While all lanes head one way, a round's rate and wall are scalars
+    and its draws stay unsigned: a live lane is at +0.0 <= pos <= h (a
+    lane that does not stop moves by less than the rounded gap, which
+    keeps it inside), so the gap is h - pos up and pos itself down, and
+    x / -mu = -(x / mu) and pos + (-d) = pos - d exactly.  After a round
+    block has set lanes heading both ways (below), rate and wall are
+    read lane by lane, with signed draws, until a compaction finds the
+    lanes agreeing again.
 
     When few lanes stop per round, a round costs more in numpy calls than
     in arithmetic, so the kernel draws a block of rounds for every live
@@ -388,14 +418,18 @@ def _run_lanes(origin: bool, phases: np.ndarray, p: ModelParams, rng: RandomSour
     lane's draws past it are set to 0 and the rows are summed straight
     down, the running values in the first row: adding 0.0 is exact, so
     every lane adds the same numbers in the same order as the
-    round-by-round loop, and a lane's parity totals end at its stop row.
+    round-by-round loop, and a lane's parity totals end at its stop row;
+    a multi-phase call sums only the phase times.
     The block scratch is made when the first block starts, sized by that
     block, and made again only when a later block needs more.  When no lane
     runs through the whole block, the generator is put back to where the
     rounds up to the last stop leave it, so a single lane takes the draws
     of the round-by-round loop.  A lane restarted in a block heads away
     from its wall from the next round on, whatever that round's parity,
-    so the lanes may then head both ways in one round.
+    so the lanes may then head both ways in one round.  (Testing a
+    block's contacts one way at a time, down rows against 0 and up rows
+    against h - start on half views, was measured on 2^14-lane calls at
+    (5,5,20) and is slower.)
 
     Where the per-round path would run with at most _TAIL_LANES lanes
     live, _run_tail runs it in plain Python instead, since a narrow numpy
@@ -404,23 +438,27 @@ def _run_lanes(origin: bool, phases: np.ndarray, p: ModelParams, rng: RandomSour
     lanes left back in arrays their own size.  It is stream-exact: each
     round it draws one exponential per live lane in column order, as the
     per-round path does, and does the same IEEE operations on each lane
-    in the same order, with its rate and wall as Python floats.  It reads
-    the phases-left row only while lanes have restarts left, since
-    compactions after that leave it stale.  So no output and no
-    generator state depends on _TAIL_LANES.
+    in the same order, with its rates as Python floats and its draws
+    unsigned.  It reads the phases-left row only while lanes have
+    restarts left, since compactions after that leave it stale.  So no
+    output and no generator state depends on _TAIL_LANES.
     """
     # a Python float, so that the wall's bits are float64 ones
     h, lam, mu = float(p.effective_level), p.lam, p.mu
     gen = rng.gen
     n = phases.size
+    restarts = int(phases.sum()) - n
+    # only a one-phase call keeps the parity sums and records the
+    # outputs made from them
+    one = not restarts
     end_level = np.empty(n, dtype=bool)
     duration = np.empty(n)
-    n_switches = np.empty(n, dtype=np.int64)
-    t_stop = np.empty(n)
-    y_stop = np.empty(n)
-    restarts = int(phases.sum()) - n
+    n_switches = t_stop = y_stop = None
+    if one:
+        n_switches = np.empty(n, dtype=np.int64)
+        t_stop, y_stop = np.empty(n), np.empty(n)
     lanes = np.zeros((7 if restarts else 6, n))
-    pos, cur, done, par, lane, left, bits = _lane_rows(lanes)
+    pos, cur, done, par, lane, left, pos_bits, cur_bits = _lane_rows(lanes)
     pos[:] = 0.0 if origin else h
     lane[:] = np.arange(n)
     if restarts:
@@ -435,6 +473,7 @@ def _run_lanes(origin: bool, phases: np.ndarray, p: ModelParams, rng: RandomSour
     scratch = np.empty((2, max(n, 4)))
     flags = np.empty(n, dtype=bool)
     alive = np.ones(n, dtype=bool)
+    draw = None
     # the round blocks' scratch, made when the first block starts
     cells = None
     # columns, and retired columns among them
@@ -454,8 +493,8 @@ def _run_lanes(origin: bool, phases: np.ndarray, p: ModelParams, rng: RandomSour
                 (end_level, duration, n_switches, t_stop, y_stop))
             # the per-round path's views of the old scratch rows go with them
             k, dead = lanes.shape[1], 0
-            draw = gap = stop = hit = cut = None
-            pos, cur, done, par, lane, left, bits = _lane_rows(lanes)
+            draw = gap = stop = hit = cut = alive_k = None
+            pos, cur, done, par, lane, left, pos_bits, cur_bits = _lane_rows(lanes)
             scratch = np.empty((2, max(k, 4)))
             flags, alive = np.empty(k, dtype=bool), np.ones(k, dtype=bool)
             mixed = up_even.any() and not up_even.all()
@@ -471,63 +510,87 @@ def _run_lanes(origin: bool, phases: np.ndarray, p: ModelParams, rng: RandomSour
             if block >= _BLOCK_MIN and k * _SHRINK_SHARE <= lanes.shape[1]:
                 # the old scratch rows, and the per-round path's views of
                 # them, go before the lanes are copied to arrays their size
-                scratch = draw = gap = stop = hit = cut = None
+                scratch = draw = gap = stop = hit = cut = alive_k = None
                 lanes, up_even = lanes[:depth, :k].copy(), up_even[:k].copy()
                 flags, alive = np.empty(k, dtype=bool), np.ones(k, dtype=bool)
             else:
                 up_even = up_even[:k]
                 alive[:k] = True
-            pos, cur, done, par, lane, left, bits = _lane_rows(lanes[:, :k])
+            pos, cur, done, par, lane, left, pos_bits, cur_bits = _lane_rows(lanes[:, :k])
             if scratch is None:
                 scratch = np.empty((2, max(k, 4)))
             mixed = mixed and up_even.min() != up_even.max()
         odd = rounds % 2
         if block < _BLOCK_MIN:
-            if mixed:
-                up = up_even != odd
-                rate, wall = np.where(up, lam, -mu), np.where(up, h, 0.0)
-            else:
-                up = bool(up_even[0]) != odd
-                rate, wall = (lam, h) if up else (-mu, 0.0)
-            draw, gap = scratch[:, :k]
-            stop = flags[:k]
+            if draw is None or draw.size != k:
+                # the views of the scratch rows, made again when k changes
+                draw, gap = scratch[:, :k]
+                hit, cut = draw.view(np.int64), gap.view(np.int64)
+                stop, alive_k = flags[:k], alive[:k]
             if dead:
-                draw[alive[:k]] = gen.standard_exponential(out=gap[:kl])
+                draw[alive_k] = gen.standard_exponential(out=gap[:kl])
             else:
                 gen.standard_exponential(out=draw)
-            draw /= rate                        # signed: + up, - down
-            np.subtract(wall, pos, out=gap)
-            np.abs(gap, out=gap)
-            pos += draw
-            np.abs(draw, out=draw)
-            np.greater_equal(draw, gap, out=stop)
-            par[odd] += draw
-            np.minimum(draw, gap, out=gap)
+            # a round heading one way keeps its draws unsigned: a live
+            # lane is at +0.0 <= pos <= h, so the gap is h - pos up and
+            # pos down
+            if mixed:
+                up = up_even != odd
+                wall = np.where(up, h, 0.0)
+                draw /= np.where(up, lam, -mu)  # signed: + up, - down
+                np.subtract(wall, pos, out=gap)
+                np.abs(gap, out=gap)
+                pos += draw
+                np.abs(draw, out=draw)
+            else:
+                up = bool(up_even[0]) != odd
+                wall = h if up else 0.0
+                draw /= lam if up else mu
+                if up:
+                    np.subtract(h, pos, out=gap)
+                    pos += draw
+            down = not (mixed or up)
+            np.greater_equal(draw, pos if down else gap, out=stop)
+            if one:
+                par[odd] += draw
+            np.minimum(draw, pos if down else gap, out=gap)
+            if down:
+                pos -= draw
             cur += gap
             used, t = 1, rounds
             lane_rounds += kl
             hits = np.count_nonzero(stop)
             if not restarts:
-                # every stopped lane retires
+                # every stopped lane retires; in a one-phase call its
+                # completed time is 0.0, and 0.0 + x is x
                 at = np.flatnonzero(stop)
-                done[at] += cur.take(at)
+                total = cur.take(at)
+                if not one:
+                    total += done.take(at)
             else:
                 # an all-ones mask over the stopped lanes moves their phase
-                # time from cur to done and their position to the wall they
-                # hit; no value is multiplied, so infinities stay exact
-                hit, cut = draw.view(np.int64), gap.view(np.int64)
+                # time from cur to done and an up lane's position to the
+                # wall it hit; no value is multiplied, so infinities stay
+                # exact.  A stopped down lane is at pos - d <= 0 (+0.0 at
+                # equality, -inf after an infinite draw), a live one above
+                # 0 and a retired one at nan, so the origin is a maximum
                 np.negative(stop.view(np.int8), out=hit)
-                np.bitwise_and(bits[1], hit, out=cut)
+                np.bitwise_and(cur_bits, hit, out=cut)
                 done += gap
-                bits[1] ^= cut
-                np.bitwise_xor(bits[0], np.asarray(wall).view(np.int64), out=cut)
-                cut &= hit
-                bits[0] ^= cut
+                cur_bits ^= cut
+                if down:
+                    np.maximum(pos, 0.0, out=pos)
+                else:
+                    np.bitwise_xor(pos_bits, np.asarray(wall).view(np.int64), out=cut)
+                    cut &= hit
+                    pos_bits ^= cut
                 left += hit
                 at = np.flatnonzero(np.equal(left, 0, out=stop))
                 restarts -= hits - at.size
+                total = done.take(at)
             end_up = up.take(at) if mixed else up
-            same, other = par[odd].take(at), par[1 - odd].take(at)
+            if one:
+                same, other = par[odd].take(at), par[1 - odd].take(at)
         else:
             if cells is None or cells[2].size < block * k:
                 # draws, positions, gaps and wall contacts of a block, in
@@ -582,33 +645,38 @@ def _run_lanes(origin: bool, phases: np.ndarray, p: ModelParams, rng: RandomSour
             past = contact[:span]
             np.greater(np.arange(span)[:, None], last, out=past)
             np.copyto(rows[2:span + 2], 0.0, where=past)
-            rows[0], rows[1] = par[odd], par[1 - odd]
-            tot = _row_sum(rows[:span + 2].reshape(-1, 2 * k)).reshape(2, k)
+            if one:
+                rows[0], rows[1] = par[odd], par[1 - odd]
+                tot = _row_sum(rows[:span + 2].reshape(-1, 2 * k)).reshape(2, k)
+                par[odd], par[1 - odd] = tot
             rows[t + 2, at] = 0.0
             rows[1] = cur
             cur[:] = _row_sum(rows[1:used + 2])
-            par[odd], par[1 - odd] = tot
             pos[:] = track[used]
             half = t % 2
             end_up = going_up[half, at]
             where = track[t, at]
-            same, other = tot[half, at], tot[1 - half, at]
-            done[at] += cur.take(at) + np.where(end_up, h - where, where)
-            t = t + rounds
+            total = cur.take(at) + np.where(end_up, h - where, where)
             hits = at.size
-            # a lane with phases left heads away from its wall from the
-            # next round on, whatever that round's parity
-            if restarts:
-                left[at] -= 1
-                more = left.take(at) > 0
-                again, back = at[more], end_up[more]
-                pos[again] = h * back
-                cur[again] = 0.0
-                up_even[again] = back == bool((rounds + used) % 2)
-                mixed = up_even.min() != up_even.max()
-                restarts -= again.size
-                last = ~more
-                at, t, end_up, same, other = at[last], t[last], end_up[last], same[last], other[last]
+            if one:
+                same, other = tot[half, at], tot[1 - half, at]
+                t = t + rounds
+            else:
+                done[at] += total
+                # a lane with phases left heads away from its wall from
+                # the next round on, whatever that round's parity
+                if restarts:
+                    left[at] -= 1
+                    more = left.take(at) > 0
+                    again, back = at[more], end_up[more]
+                    pos[again] = h * back
+                    cur[again] = 0.0
+                    up_even[again] = back == bool((rounds + used) % 2)
+                    mixed = up_even.min() != up_even.max()
+                    restarts -= again.size
+                    last = ~more
+                    at, end_up = at[last], end_up[last]
+                total = done.take(at)
         rounds += used
         if hits:
             stops += hits
@@ -616,23 +684,24 @@ def _run_lanes(origin: bool, phases: np.ndarray, p: ModelParams, rng: RandomSour
                 stops, lane_rounds = stops / 2, lane_rounds / 2
         if at.size:
             fin = lane.take(at)
-            duration[fin] = done.take(at)
+            duration[fin] = total
             end_level[fin] = end_up
-            n_switches[fin] = t
-            # the parity other than the last draw's holds the down total on
-            # an upward hit and the up total on a downward one; the dual
-            # clock of an origin-to-level crossing still owes the level offset
-            t_stop[fin] = other + h * end_up if origin else other
-            y_stop[fin] = np.where(end_up, other, same)
+            if one:
+                n_switches[fin] = t
+                # the parity other than the last draw's holds the down
+                # total on an upward hit and the up total on a downward
+                # one; the dual clock of an origin-to-level crossing still
+                # owes the level offset
+                t_stop[fin] = other + h * end_up if origin else other
+                y_stop[fin] = np.where(end_up, other, same)
             if restarts:
                 left[at] = -1
             alive[at] = False
             dead += at.size
             if dead * _DEAD_SHARE <= k:
-                # a retired column kept for the next round draws 0 and
-                # holds a nan position, so it never stops again
-                pos[at] = np.nan
-                scratch[0, at] = 0.0
+                # a retired column kept for the next round draws nan, which
+                # never stops and puts it at a nan position for good
+                scratch[0, at] = np.nan
     return end_level, duration, n_switches, t_stop, y_stop
 
 

@@ -227,6 +227,30 @@ STREAM_DIGESTS = {
         'd4e203814c15cf75505b33e1c0370cb6c1401604d2dd6f68786d31ec3118b1d5',
     ("absorption", (1.0, 2.0, 1.0), 0.999, N, 8):
         'd785ded9fbf9089bbf36dc017bb71dc8502b1df601bb2f06e18c8c2e60a0b0aa',
+    # a rate of 1e-300 makes every draw heading that way about 1e300 long,
+    # so a lane crosses the whole box in one round and lands far past the
+    # wall it restarts at; at a rate of 5e-324 those draws overflow to inf
+    # and a stopped down lane ends at -inf
+    ("phases", (1e-300, 1.0, 1.0), "origin", 64, 7):
+        '32aca4eb2b644f399157769ab2ee470bc2f637f2432eb156a76906bb350f6cfa',
+    ("phases", (1e-300, 1.0, 1.0), "level", N, 8):
+        '12302417088ed704e91bb7cf2c7d79ddb63deb7c5a93a8610ba3353ab6238afe',
+    ("absorption", (1e-300, 1.0, 1.0), 0.2, 64, 7):
+        'ca3e98f3635cb97b7bc510ca6e04e3379d0f65ff58a18d1dd93d0781f79a0f96',
+    ("absorption", (1e-300, 1.0, 1.0), 0.2, N, 8):
+        '03df3e8ef60591863baf816743faebb49429f07d295e463e2793704d8d5c017a',
+    ("phases", (1.0, 1e-300, 1.0), "origin", 64, 7):
+        '186b7b7701229b0292011dba995dab3e72cae33b71bf6e2e40d8356944e78437',
+    ("phases", (1.0, 1e-300, 1.0), "level", N, 8):
+        'bf59f6caec311a1170aa73a06f6175f8a0fdf097592f2b93f1bf7f1eac74243b',
+    ("absorption", (1.0, 1e-300, 1.0), 0.2, 64, 7):
+        '566d24452d21f65a2fd6abff3ddbb607c280b62b436d92a4577339390b088af4',
+    ("absorption", (1.0, 1e-300, 1.0), 0.2, N, 8):
+        '5cf47eb50975d7e6442e2b056f1832dab5e8c26c239403b1ae67b0bfe8ae3ee3',
+    ("absorption", (1.0, 5e-324, 1.0), 0.2, 64, 7):
+        '566d24452d21f65a2fd6abff3ddbb607c280b62b436d92a4577339390b088af4',
+    ("absorption", (1.0, 5e-324, 1.0), 0.2, N, 8):
+        '5cf47eb50975d7e6442e2b056f1832dab5e8c26c239403b1ae67b0bfe8ae3ee3',
 }
 
 
@@ -245,7 +269,8 @@ def test_engine_outputs_and_generator_position_are_pinned(monkeypatch, key):
     for width in TAIL_WIDTHS:
         monkeypatch.setattr(simulate, "_TAIL_LANES", width)
         rng = RandomSource(seed, 4)
-        out = _run(engine, case, arg, n, rng)
+        with np.errstate(over="ignore"):
+            out = _run(engine, case, arg, n, rng)
         states.append(rng.gen.bit_generator.state)
         assert _digest((*out, rng.gen.random(8))) == STREAM_DIGESTS[key], width
     assert states[1:] == states[:-1]
@@ -340,6 +365,45 @@ def test_scalar_absorption_matches_the_lane_kernel(case):
         assert (path.m, path.total_time, path.absorbed_at is Boundary.LEVEL) == (
             int(m[0]), float(total[0]), bool(at_level[0])), (case, i)
         assert scalar.gen.bit_generator.state == lanes.gen.bit_generator.state
+
+
+# One lane where a draw crosses the whole box in one round: at a rate of
+# 1e-300 the draws heading that way are about 1e300 long, at 5e-324 they
+# overflow to inf, so a down lane lands far below the origin, or at -inf,
+# before it restarts there.  With the tail off, the numpy rounds run it.
+@TAIL_OFF_ON
+@pytest.mark.parametrize("case", [(1.0, 1e-300, 1.0, 0.2), (1.0, 5e-324, 1.0, 0.2),
+                                  (1e-300, 1.0, 1.0, 0.2), (5e-324, 1.0, 1.0, 0.2)])
+def test_scalar_absorption_matches_the_lane_kernel_where_draws_overflow(monkeypatch, case, tail):
+    monkeypatch.setattr(simulate, "_TAIL_LANES", tail)
+    p, s = ModelParams(*case[:3]), SwitchingProb(case[3])
+    for i in range(50):
+        scalar, lanes = RandomSource(4, i), RandomSource(4, i)
+        path = simulate.simulate_until_absorption(p, s, scalar)
+        with np.errstate(over="ignore"):
+            m, total, at_level = _run_absorption(p, s, lanes, 1)
+        assert (path.m, path.total_time, path.absorbed_at is Boundary.LEVEL) == (
+            int(m[0]), float(total[0]), bool(at_level[0])), (case, i)
+        assert scalar.gen.bit_generator.state == lanes.gen.bit_generator.state
+
+
+# Only a one-phase call keeps the parity sums that the reversal count, the
+# dual clock and the jump total come from; a call in which any lane runs
+# more than one phase returns None in their places, not arrays it never
+# wrote.
+def test_only_one_phase_calls_return_the_dual_outputs():
+    p, n = ModelParams(1.0, 2.0, 1.0), 64
+    for extra in (1, n):
+        phases = np.ones(n, dtype=np.int64)
+        phases[:extra] = 2
+        end, duration, *dual = simulate._run_lanes(True, phases, p, RandomSource(1, 0))
+        assert dual == [None, None, None]
+        assert (end.dtype, end.shape, duration.dtype, duration.shape) == (
+            np.dtype(bool), (n,), np.dtype(float), (n,))
+    for start in Boundary:
+        out = _run_phases(start, p, RandomSource(1, 0), n)
+        assert [a.dtype for a in out] == [np.dtype(t) for t in (bool, float, np.int64, float, float)]
+        assert all(a.shape == (n,) for a in out)
 
 
 log_uniform = st.floats(min_value=-2.3, max_value=2.3).map(np.exp)
