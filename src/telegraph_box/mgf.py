@@ -65,6 +65,12 @@ def theta_roots(omega: float, p: ModelParams) -> RootPair:
     DomainError when omega is not finite or exceeds omega_bound (complex
     roots).
     """
+    return RootPair(*_roots(omega, p), omega)
+
+
+def _roots(omega: float, p: ModelParams) -> tuple[float, float]:
+    """(theta1, theta2) of theta_roots, without its float64 gate, for the
+    transforms, whose own gates check their results."""
     lam, mu = p.lam, p.mu
     bound = omega_bound(p)
     if not (math.isfinite(omega) and omega <= bound):
@@ -80,8 +86,7 @@ def theta_roots(omega: float, p: ModelParams) -> RootPair:
     q = -(half_b + math.copysign(
         math.sqrt(a) * math.sqrt(a / 4.0 + math.sqrt(lam) * math.sqrt(mu)), half_b))
     other = (mu * (omega / q) if abs(omega) >= mu else omega * (mu / q)) if q else 0.0
-    t1, t2 = (q, other) if q <= other else (other, q)
-    return RootPair(t1, t2, omega)
+    return (q, other) if q <= other else (other, q)
 
 
 def _tilted(omega: float, p: ModelParams) -> tuple[float, float, float, float]:
@@ -89,9 +94,11 @@ def _tilted(omega: float, p: ModelParams) -> tuple[float, float, float, float]:
     lam*(mu/mu'), not mu - theta2, which cancels as omega goes to -inf,
     nor lam*mu/mu', whose product can overflow; it is held at most mu'
     against rounding at the double root."""
-    rp = theta_roots(omega, p)
-    hi = p.mu - rp.theta1
-    return rp.theta1, rp.theta2, min(p.lam * (p.mu / hi), hi), hi
+    t1, t2 = _roots(omega, p)
+    if not (math.isfinite(t1) and math.isfinite(t2)):
+        theta_roots(omega, p)   # raises the DomainError of roots past float64
+    hi = p.mu - t1
+    return t1, t2, min(p.lam * (p.mu / hi), hi), hi
 
 
 @float64_result("transforms from the origin")

@@ -103,20 +103,26 @@ def _batch_moments(p: ModelParams, s: SwitchingProb, seed: int,
     cols["f00"] = np.where(~endl, np.exp(omega[0] * t_stop), 0.0)
     cols["f0h"] = np.where(endl, np.exp(omega[1] * t_stop), 0.0)
 
+    # no row reads the level phases' dual clocks, so that call keeps none
     endl, dur, _, _, _ = _run_phases(
-        Boundary.LEVEL, p, RandomSource(seed, 3 * batch + 1), size)
+        Boundary.LEVEL, p, RandomSource(seed, 3 * batch + 1), size, dual=False)
     cols["ph0"] = ~endl
     cols["phh"] = endl
     cols["mh0"] = np.where(~endl, dur, 0.0)
     cols["mhh"] = np.where(endl, dur, 0.0)
 
     # column by column, not through a (12, size) matrix: each sum is the
-    # same pairwise sum over one contiguous column
+    # same pairwise sum over one contiguous column.  On a 0/1 frequency
+    # column the sum and the sum of squares are both the exact count
     moments = np.empty((_NQ, 3))
     moments[:, 0] = size
     for row, name in zip(moments, _QUANTITIES):
-        x = np.asarray(cols[name], dtype=float)
-        row[1:] = x.sum(), (x * x).sum()
+        x = cols[name]
+        if x.dtype == bool:
+            row[1:] = np.count_nonzero(x)
+        else:
+            x = np.asarray(x, dtype=float)
+            row[1:] = x.sum(), (x * x).sum()
     return moments
 
 

@@ -222,12 +222,24 @@ def dual_representation_check(ph: PhaseRecord, p: ModelParams) -> DualCheck:
 # array engine
 
 
-def _lane_rows(lanes):
-    """Views of the lane array of _run_lanes, row by row, and the bits
-    of its positions and current phase times."""
+def _lane_rows(lanes, dual):
+    """Views of the lane array of _run_lanes, row by row, None for rows it
+    does not have, and the bits of its positions and current phase times.
+    Its rows 3 and 4 are the parity totals in a dual call, else the
+    completed phase time and phases left, each there only when read."""
     bits = lanes.view(np.int64)
-    left = bits[6] if len(lanes) > 6 else None
-    return lanes[0], lanes[1], lanes[2], lanes[3:5], bits[5], left, bits[0], bits[1]
+    par = lanes[3:5] if dual else None
+    done = lanes[3] if len(lanes) > 3 and not dual else None
+    left = bits[4] if len(lanes) > 4 and not dual else None
+    return lanes[0], lanes[1], done, par, bits[2], left, bits[0], bits[1]
+
+
+def _lane_depth(one, dual, restarts):
+    """The rows of the lane array that a call reads: position, current
+    phase time and index, then the parity totals of a dual call, or the
+    completed time of a multi-phase one and, while lanes have restarts
+    left, their phases left."""
+    return 5 if dual else 3 + (not one) + bool(restarts)
 
 
 def _row_sum(a):
@@ -272,7 +284,7 @@ def _run_tail(origin, h, lam, mu, gen, lanes, up_even, counts, out):
     `lanes` holds the live columns of the kernel's lane array in column
     order, `up_even` their headings on even rounds, `counts` the kernel's
     (rounds, stops, lane_rounds, restarts) and `out` its output arrays,
-    the last three None in a multi-phase call, which keeps no parity sums.
+    with None where the call keeps no such output.
     Runs rounds until no lane is left or a round block would start, and
     returns the lane array and headings of the lanes left, in the same
     order and sized to them, with the counts updated.  A round draws one
@@ -280,14 +292,19 @@ def _run_tail(origin, h, lam, mu, gen, lanes, up_even, counts, out):
     """
     rounds, stops, lane_rounds, restarts = counts
     end_level, duration, n_switches, t_stop, y_stop = out
-    one = n_switches is not None
+    one, dual = n_switches is not None, t_stop is not None
+    k = lanes.shape[1]
     bits = lanes.view(np.int64)
-    # phases left is kept only while lanes have restarts left; then every
-    # live lane runs its last phase, and the row, if there, is stale
-    left = bits[6].tolist() if restarts else [1] * lanes.shape[1]
+    # rows the call does not keep start at 0.0 here; phases left is kept
+    # only while lanes have restarts left, then every live lane runs its
+    # last phase, and the row, if there, is stale
+    done = [0.0] * k if one else lanes[3].tolist()
+    par = lanes[3:5].tolist() if dual else ([0.0] * k,) * 2
+    left = bits[4].tolist() if restarts else [1] * k
     # per lane: position, current and completed phase time, even and odd
     # draw totals, phases left, index and heading on even rounds
-    live = [list(s) for s in zip(*lanes[:5].tolist(), left, bits[5].tolist(), up_even.tolist())]
+    live = [list(s) for s in zip(*lanes[:2].tolist(), done, *par, left,
+                                  bits[2].tolist(), up_even.tolist())]
     # Python floats, since x / np.float32 stays float32
     lam, mu = float(lam), float(mu)
     while live:
@@ -313,7 +330,7 @@ def _run_tail(origin, h, lam, mu, gen, lanes, up_even, counts, out):
                 x /= mu
                 gap = s[0]
                 s[0] -= x
-            if one:
+            if dual:
                 s[same] += x
             if x < gap:
                 s[1] += x
@@ -327,8 +344,9 @@ def _run_tail(origin, h, lam, mu, gen, lanes, up_even, counts, out):
                 i = s[6]
                 duration[i], end_level[i] = s[2], up
                 if one:
-                    o = s[other]
                     n_switches[i] = rounds
+                if dual:
+                    o = s[other]
                     t_stop[i] = o + h * up if origin else o
                     y_stop[i] = o if up else s[same]
                 ended += 1
@@ -341,39 +359,53 @@ def _run_tail(origin, h, lam, mu, gen, lanes, up_even, counts, out):
                 stops, lane_rounds = stops / 2, lane_rounds / 2
         if ended:
             live = [s for s in live if s[5]]
-    rest = np.empty((7 if restarts else 6, len(live)))
+    rest = np.empty((_lane_depth(one, dual, restarts), len(live)))
     if live:
         cols = list(zip(*live))
-        rest[:5] = cols[:5]
+        rest[:2] = cols[:2]
         bits = rest.view(np.int64)
-        bits[5] = cols[6]
-        if restarts:
-            bits[6] = cols[5]
+        bits[2] = cols[6]
+        if dual:
+            rest[3:5] = cols[3:5]
+        elif not one:
+            rest[3] = cols[2]
+            if restarts:
+                bits[4] = cols[5]
     return rest, np.array([s[7] for s in live], dtype=bool), (rounds, stops, lane_rounds, restarts)
 
 
-def _run_lanes(origin: bool, phases: np.ndarray, p: ModelParams, rng: RandomSource):
+def _run_lanes(origin: bool, phases: np.ndarray, p: ModelParams, rng: RandomSource,
+               dual: bool = True):
     """Run phases[i] >= 1 phases in a row on lane i, vectorized; all lanes
     start at the origin if `origin`, else at the level, and each later
     phase of a lane at the wall the one before it hit.
 
-    Returns (end_is_level, duration, n_switches, t_stop, y_stop); a
-    one-phase call (every phases[i] == 1) returns them as _run_phases
-    does.  A multi-phase call returns only end_is_level, that of a lane's
-    last phase, and duration, the sum of its phases' durations, which is
-    all _run_absorption reads, and None in the other three places: it
-    keeps no parity sums, and n_switches, t_stop and y_stop of a chain of
-    phases would mean nothing.  All lanes start together and reverse
-    every round, so a lane's draws alternate direction with the round
-    parity.  Each column of the array `lanes` is a lane: its position,
-    the duration of its current phase and of the phases it has
-    completed, its draws summed over even and over odd rounds (read as
-    up or down totals when it retires; they stay 0 in a multi-phase
-    call), and as int64 bits its index and, when any lane runs more than
-    one phase, its phases left.  A bool row beside it says whether the
-    lane heads up on even rounds.  A lane that stops with phases left is
-    restarted in place at its wall, heading away from it.  _REVERSAL_CAP
-    bounds the rounds of the whole call, restarts included.
+    Returns (end_is_level, duration, n_switches, t_stop, y_stop), each
+    kept only where a caller reads it, with None in the other places.
+    A one-phase call (every phases[i] == 1) with `dual` returns all five
+    as _run_phases does; these are the origin call of a montecarlo batch
+    and direct _run_phases callers.  Without `dual` it keeps no parity
+    sums and returns no dual clocks, t_stop and y_stop, but still the
+    reversal counts n_switches, which are made from the round count
+    alone and which the benchmark's tracer reads from the level call of a
+    batch.  A multi-phase call returns only end_is_level, that of a
+    lane's last phase, and duration, the sum of its phases' durations,
+    which is all _run_absorption reads: reversal counts and dual clocks
+    of a chain of phases would mean nothing.  _run_absorption passes
+    `dual` off, so a one-phase absorption call (alpha = 1) keeps no
+    parity sums either.  All lanes start together and reverse every
+    round, so a lane's draws alternate direction with the round parity.
+    Each column of the array `lanes` is a lane, and its rows are only
+    those the call reads: the lane's position, the duration of its
+    current phase and, as int64 bits, its index; then in a dual call its
+    draws summed over even and over odd rounds (read as up or down
+    totals when it retires), or in a multi-phase call the duration of
+    the phases it has completed and, while lanes have restarts left, its
+    phases left.  A compaction copies only those rows.  A bool row
+    beside it says whether the lane heads up on even rounds.  A lane
+    that stops with phases left is restarted in place at its wall,
+    heading away from it.  _REVERSAL_CAP bounds the rounds of the whole
+    call, restarts included.
 
     In the per-round path a restart is arithmetic on the lanes' rows: an
     all-ones bit mask over the stopped lanes moves their phase time from
@@ -389,15 +421,15 @@ def _run_lanes(origin: bool, phases: np.ndarray, p: ModelParams, rng: RandomSour
     tie.  (Masked ufuncs, np.add, np.copyto and np.subtract with where=,
     took 597 us against 53 us for a restart at 16384 lanes, and lose at
     256 lanes too; BENCH_19.json, masked_restart.)  Only a lane that has
-    run its last phase is recorded; in a one-phase call its completed
-    time is 0.0 until then, so its duration is read from its current
-    one.  Its column stays, drawing nan, which never stops and leaves it
-    at a nan position, until retired columns are more than 1/_DEAD_SHARE
-    of the columns or a round block starts: the lanes are compacted only
-    then, and never after a round in which lanes only restart.  When a
-    round block starts and the live lanes fill at most 1/_SHRINK_SHARE
-    of the columns, they move to arrays their own size, and no view of
-    the old ones is kept.
+    run its last phase is recorded; a one-phase call keeps no completed
+    time, since it would be 0.0 until then, and reads the duration from
+    the current one.  Its column stays, drawing nan, which never stops
+    and leaves it at a nan position, until retired columns are more than
+    1/_DEAD_SHARE of the columns or a round block starts: the lanes are
+    compacted only then, and never after a round in which lanes only
+    restart.  When a round block starts and the live lanes fill at most
+    1/_SHRINK_SHARE of the columns, they move to arrays their own size,
+    and no view of the old ones is kept.
     While all lanes head one way, a round's rate and wall are scalars
     and its draws stay unsigned: a live lane is at +0.0 <= pos <= h (a
     lane that does not stop moves by less than the rounded gap, which
@@ -413,13 +445,20 @@ def _run_lanes(origin: bool, phases: np.ndarray, p: ModelParams, rng: RandomSour
     so far.  Inside a block each lane stops at its own first wall contact
     and its draws after that are dropped; a lane with phases left waits
     for the next block.  A block keeps one running sum, the positions,
-    since the wall test reads the position at every row.  The phase times
-    and the parity totals are read only at each lane's stop row, so the
-    lane's draws past it are set to 0 and the rows are summed straight
-    down, the running values in the first row: adding 0.0 is exact, so
-    every lane adds the same numbers in the same order as the
+    since the wall test reads the position at every row; the positions
+    are then turned in place into the gaps to the wall ahead, |wall -
+    pos|, which up to a lane's first contact is h - pos up and pos down
+    (a masked np.copyto of pos into h - pos took longer than the two
+    plain passes).  One np.logical_or.reduce down the contact rows finds
+    the lanes that stop, and argmax runs over their columns only: a
+    full-width argmax down the rows costs a call per column.  The phase
+    times and the parity totals are read only at each lane's stop row,
+    so the lane's draws past it are set to 0 and the rows are summed
+    straight down, the running values in the first row: adding 0.0 is
+    exact, so every lane adds the same numbers in the same order as the
     round-by-round loop, and a lane's parity totals end at its stop row;
-    a multi-phase call sums only the phase times.
+    a call without dual clocks sums only the phase times.  A stopped
+    lane's duration adds its gap at its stop row to its phase time.
     The block scratch is made when the first block starts, sized by that
     block, and made again only when a later block needs more.  When no lane
     runs through the whole block, the generator is put back to where the
@@ -448,17 +487,19 @@ def _run_lanes(origin: bool, phases: np.ndarray, p: ModelParams, rng: RandomSour
     gen = rng.gen
     n = phases.size
     restarts = int(phases.sum()) - n
-    # only a one-phase call keeps the parity sums and records the
-    # outputs made from them
+    # only a one-phase call records reversal counts, and only a dual one
+    # keeps the parity sums that the dual clocks are made from
     one = not restarts
+    dual = dual and one
     end_level = np.empty(n, dtype=bool)
     duration = np.empty(n)
     n_switches = t_stop = y_stop = None
     if one:
         n_switches = np.empty(n, dtype=np.int64)
+    if dual:
         t_stop, y_stop = np.empty(n), np.empty(n)
-    lanes = np.zeros((7 if restarts else 6, n))
-    pos, cur, done, par, lane, left, pos_bits, cur_bits = _lane_rows(lanes)
+    lanes = np.zeros((_lane_depth(one, dual, restarts), n))
+    pos, cur, done, par, lane, left, pos_bits, cur_bits = _lane_rows(lanes, dual)
     pos[:] = 0.0 if origin else h
     lane[:] = np.arange(n)
     if restarts:
@@ -494,7 +535,7 @@ def _run_lanes(origin: bool, phases: np.ndarray, p: ModelParams, rng: RandomSour
             # the per-round path's views of the old scratch rows go with them
             k, dead = lanes.shape[1], 0
             draw = gap = stop = hit = cut = alive_k = None
-            pos, cur, done, par, lane, left, pos_bits, cur_bits = _lane_rows(lanes)
+            pos, cur, done, par, lane, left, pos_bits, cur_bits = _lane_rows(lanes, dual)
             scratch = np.empty((2, max(k, 4)))
             flags, alive = np.empty(k, dtype=bool), np.ones(k, dtype=bool)
             mixed = up_even.any() and not up_even.all()
@@ -502,7 +543,7 @@ def _run_lanes(origin: bool, phases: np.ndarray, p: ModelParams, rng: RandomSour
         if dead and (block >= _BLOCK_MIN or dead * _DEAD_SHARE > k):
             # phases left matter only while lanes have restarts left
             keep = np.flatnonzero(alive[:k])
-            depth = 7 if restarts else 6
+            depth = _lane_depth(one, dual, restarts)
             _compact(lanes[:depth], keep, scratch)
             np.take(up_even, keep, out=flags[:kl], mode="clip")
             up_even[:kl] = flags[:kl]
@@ -516,7 +557,7 @@ def _run_lanes(origin: bool, phases: np.ndarray, p: ModelParams, rng: RandomSour
             else:
                 up_even = up_even[:k]
                 alive[:k] = True
-            pos, cur, done, par, lane, left, pos_bits, cur_bits = _lane_rows(lanes[:, :k])
+            pos, cur, done, par, lane, left, pos_bits, cur_bits = _lane_rows(lanes[:, :k], dual)
             if scratch is None:
                 scratch = np.empty((2, max(k, 4)))
             mixed = mixed and up_even.min() != up_even.max()
@@ -551,7 +592,7 @@ def _run_lanes(origin: bool, phases: np.ndarray, p: ModelParams, rng: RandomSour
                     pos += draw
             down = not (mixed or up)
             np.greater_equal(draw, pos if down else gap, out=stop)
-            if one:
+            if dual:
                 par[odd] += draw
             np.minimum(draw, pos if down else gap, out=gap)
             if down:
@@ -589,26 +630,26 @@ def _run_lanes(origin: bool, phases: np.ndarray, p: ModelParams, rng: RandomSour
                 restarts -= hits - at.size
                 total = done.take(at)
             end_up = up.take(at) if mixed else up
-            if one:
+            if dual:
                 same, other = par[odd].take(at), par[1 - odd].take(at)
         else:
             if cells is None or cells[2].size < block * k:
-                # draws, positions, gaps and wall contacts of a block, in
-                # cells; the draws and positions take two rows and one row
-                # more.  They are sized by the block that needs them and
-                # made again only when a later block needs more (k only
-                # falls, so block * k cells suffice); the old cells, and
-                # the last block's views of them, go first
-                cells = rows = track = contact = draws = start = gaps = past = None
+                # draws, positions and wall contacts of a block, in cells;
+                # the draws and positions take two rows and one row more.
+                # They are sized by the block that needs them and made
+                # again only when a later block needs more (k only falls,
+                # so block * k cells suffice); the old cells, and the last
+                # block's views of them, go first
+                cells = rows = track = contact = draws = start = past = None
                 cells = (np.empty((block + 2) * k), np.empty((block + 1) * k),
-                         np.empty(block * k), np.empty(block * k, dtype=bool))
+                         np.empty(block * k, dtype=bool))
             # rows 0 and 1 of `rows` hold running values and row r + 2 the
             # draws of block row r; pair i of a (-1, 2, k) view holds block
             # rows 2i and 2i + 1, whose parities are those of rounds
             # `rounds` and `rounds` + 1
             rows = cells[0][:(block + 2) * k].reshape(block + 2, k)
             track = cells[1][:(block + 1) * k].reshape(block + 1, k)
-            contact = cells[3][:block * k].reshape(block, k)
+            contact = cells[2][:block * k].reshape(block, k)
             saved = gen.bit_generator.state
             gen.standard_exponential(out=rows[2:])
             draws = rows[2:].reshape(-1, 2, k)
@@ -620,13 +661,14 @@ def _run_lanes(origin: bool, phases: np.ndarray, p: ModelParams, rng: RandomSour
             draws /= np.where(going_up, lam, mu)
             np.multiply(draws, np.where(going_up, 1.0, -1.0), out=track[1:].reshape(-1, 2, k))
             _running_sum(track)
-            gaps = cells[2][:block * k].reshape(-1, 2, k)
-            np.subtract(h, start, out=gaps)
-            np.copyto(gaps, start, where=~going_up)
-            np.greater_equal(draws, gaps, out=contact.reshape(-1, 2, k))
-            first = contact.argmax(axis=0)
-            at = np.flatnonzero(contact[first, np.arange(k)])
-            t = first.take(at)
+            # the rows below the last become the gaps to the wall ahead,
+            # |wall - pos|: h - pos up and pos down up to a lane's first
+            # contact, where it is inside the box
+            np.subtract(np.where(going_up, h, 0.0), start, out=start)
+            np.abs(start, out=start)
+            np.greater_equal(draws, start, out=contact.reshape(-1, 2, k))
+            at = np.flatnonzero(np.logical_or.reduce(contact, axis=0))
+            t = contact[:, at].argmax(axis=0)
             lane_rounds += int(t.sum()) + at.size + (k - at.size) * block
             used = block
             if at.size == k:
@@ -638,28 +680,31 @@ def _run_lanes(origin: bool, phases: np.ndarray, p: ModelParams, rng: RandomSour
             # each lane's draws past its stop row become 0, then its parity
             # totals and, with its stop row's draw dropped too, its phase
             # time are summed straight down the rows, as the per-round path
-            # sums them; the rows span whole pairs
-            last = np.full(k, block)
+            # sums them; the rows span whole pairs.  Stop rows are int16,
+            # which holds _BLOCK_ROUNDS and compares fastest
+            last = np.full(k, block, dtype=np.int16)
             last[at] = t
             span = used + used % 2
             past = contact[:span]
-            np.greater(np.arange(span)[:, None], last, out=past)
+            np.greater(np.arange(span, dtype=np.int16)[:, None], last, out=past)
             np.copyto(rows[2:span + 2], 0.0, where=past)
-            if one:
+            if dual:
                 rows[0], rows[1] = par[odd], par[1 - odd]
                 tot = _row_sum(rows[:span + 2].reshape(-1, 2 * k)).reshape(2, k)
                 par[odd], par[1 - odd] = tot
             rows[t + 2, at] = 0.0
             rows[1] = cur
             cur[:] = _row_sum(rows[1:used + 2])
-            pos[:] = track[used]
+            # a lane that did not stop ran the whole block; a stopped one
+            # is put at its wall when it restarts and is not read otherwise
+            pos[:] = track[block]
             half = t % 2
             end_up = going_up[half, at]
-            where = track[t, at]
-            total = cur.take(at) + np.where(end_up, h - where, where)
+            total = cur.take(at) + track[t, at]
             hits = at.size
             if one:
-                same, other = tot[half, at], tot[1 - half, at]
+                if dual:
+                    same, other = tot[half, at], tot[1 - half, at]
                 t = t + rounds
             else:
                 done[at] += total
@@ -688,6 +733,7 @@ def _run_lanes(origin: bool, phases: np.ndarray, p: ModelParams, rng: RandomSour
             end_level[fin] = end_up
             if one:
                 n_switches[fin] = t
+            if dual:
                 # the parity other than the last draw's holds the down
                 # total on an upward hit and the up total on a downward
                 # one; the dual clock of an origin-to-level crossing still
@@ -705,15 +751,19 @@ def _run_lanes(origin: bool, phases: np.ndarray, p: ModelParams, rng: RandomSour
     return end_level, duration, n_switches, t_stop, y_stop
 
 
-def _run_phases(start: Boundary, p: ModelParams, rng: RandomSource, n: int):
+def _run_phases(start: Boundary, p: ModelParams, rng: RandomSource, n: int,
+                dual: bool = True):
     """Simulate n independent phases from one boundary, vectorized.
 
     Returns arrays (end_is_level, duration, n_switches, t_stop, y_stop):
     t_stop is the dual stopping time rebuilt from raw cumulative sums,
     y_stop the dual jump total at the stop, so duration and t_stop come
     from independent accumulations and identity checks stay meaningful.
+    With `dual` off the call sums no up and down totals and returns None
+    for t_stop and y_stop; the other three arrays, and the draws taken,
+    are the same bit for bit.
     """
-    return _run_lanes(start is Boundary.ORIGIN, np.ones(n, dtype=np.int64), p, rng)
+    return _run_lanes(start is Boundary.ORIGIN, np.ones(n, dtype=np.int64), p, rng, dual)
 
 
 def _run_absorption(p: ModelParams, s: SwitchingProb, rng: RandomSource, n: int,
@@ -729,5 +779,5 @@ def _run_absorption(p: ModelParams, s: SwitchingProb, rng: RandomSource, n: int,
     m = rng.gen.geometric(s.alpha, n)
     if m.max(initial=0) > max_phases:
         raise MaxPhasesExceeded(max_phases)
-    end_level, total = _run_lanes(True, m, p, rng)[:2]
+    end_level, total = _run_lanes(True, m, p, rng, dual=False)[:2]
     return m, total, end_level

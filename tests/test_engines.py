@@ -406,6 +406,53 @@ def test_only_one_phase_calls_return_the_dual_outputs():
         assert all(a.shape == (n,) for a in out)
 
 
+# A one-phase call without dual clocks takes the same draws and does the
+# same arithmetic on positions and phase times as a dual one: only the
+# parity sums, t_stop and y_stop go.  At (5, 5, 20) it runs round blocks,
+# at (1, 2, 1) numpy rounds and at (1, 1e-300, 1) down draws that cross
+# the whole box in one round.
+@TAIL_OFF_ON
+@pytest.mark.parametrize("case", [(5.0, 5.0, 20.0), (1.0, 2.0, 1.0), (1.0, 1e-300, 1.0)])
+@pytest.mark.parametrize("start", [Boundary.ORIGIN, Boundary.LEVEL])
+def test_phase_calls_without_dual_clocks_keep_every_other_byte(monkeypatch, case, start, tail):
+    monkeypatch.setattr(simulate, "_TAIL_LANES", tail)
+    p = ModelParams(*case)
+    for n, seed in ((1, 3), (300, 4), (N, 5)):
+        dual, lean = RandomSource(seed, 0), RandomSource(seed, 0)
+        with np.errstate(over="ignore"):
+            want = _run_phases(start, p, dual, n)
+            got = _run_phases(start, p, lean, n, dual=False)
+        assert got[3:] == (None, None)
+        assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got[:3], want[:3]))
+        assert lean.gen.bit_generator.state == dual.gen.bit_generator.state
+
+
+# A lane array holds only the rows its call reads: position, phase time
+# and index in a one-phase call without dual clocks, which so makes two
+# parity rows, t_stop and y_stop fewer than a dual call.
+def test_one_phase_calls_without_dual_clocks_make_no_parity_rows(monkeypatch):
+    p, n = ModelParams(1.0, 2.0, 1.0), 2 ** 14
+    depths = []
+    lane_rows = simulate._lane_rows
+
+    def spy(lanes, dual):
+        depths.append((dual, len(lanes)))
+        return lane_rows(lanes, dual)
+
+    def peak(dual):
+        _run_phases(Boundary.LEVEL, p, RandomSource(1, 0), n, dual=dual)
+        tracemalloc.start()
+        try:
+            _run_phases(Boundary.LEVEL, p, RandomSource(1, 0), n, dual=dual)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(simulate, "_lane_rows", spy)
+    assert peak(True) - peak(False) >= 4 * 8 * n
+    assert set(depths) == {(True, 5), (False, 3)}
+
+
 log_uniform = st.floats(min_value=-2.3, max_value=2.3).map(np.exp)
 
 
