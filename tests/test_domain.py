@@ -8,7 +8,8 @@ itself or zero, and the descent is zero, a fraction of H or the last
 float below H.  Phase counts and matrix powers are up to 10^7 or
 between 10^300 and 10^400, and every function is called by keyword.
 The closed-form subcommands of the CLI keep its exit-code contract on
-the same inputs.
+the same inputs.  `estimate` and the `simulate` subcommand keep it too,
+on small runs at rates and levels within e^+-2.3 of 1.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from telegraph_box import (
     TelegraphBoxError,
     conditional_cycle_means,
     conditional_hit_prob,
+    estimate,
     expected_absorption_time,
     expected_cycles,
     expected_length_L,
@@ -145,10 +147,7 @@ def cli_argvs(draw) -> list[str]:
                         for k, v in flags.items()]
 
 
-@given(cli_argvs())
-@example(["scaling", "--h=1", "--alpha=0.5", "--sigma=1e-200", "--format=table"])
-@settings(max_examples=300, deadline=None)
-def test_cli_exits_0_with_finite_numbers_or_2_with_one_error_line(argv):
+def _exits_0_with_finite_numbers_or_2_with_one_error_line(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.run(argv)
@@ -164,3 +163,41 @@ def test_cli_exits_0_with_finite_numbers_or_2_with_one_error_line(argv):
     for token in re.split(r"[\s,:\[\]{}]+", out):
         with contextlib.suppress(ValueError):
             assert math.isfinite(float(token)), (argv, token)
+
+
+@given(cli_argvs())
+@example(["scaling", "--h=1", "--alpha=0.5", "--sigma=1e-200", "--format=table"])
+@settings(max_examples=300, deadline=None)
+def test_cli_exits_0_with_finite_numbers_or_2_with_one_error_line(argv):
+    _exits_0_with_finite_numbers_or_2_with_one_error_line(argv)
+
+
+# Small simulation runs: rates and level log-uniform on e^+-2.3, alpha in
+# [0.05, 1] and any seed, negative ones included.  Every run of 1 to 256
+# paths is refused by the 1000-path floor, so runs of 1000 to 2048 paths
+# reach the engines too.  `validate` is left out: its rows that no sample
+# reaches print z = inf.
+mc_scales = st.floats(min_value=-2.3, max_value=2.3).map(math.exp)
+mc_alphas = st.floats(min_value=0.05, max_value=1.0)
+mc_paths = st.integers(min_value=1, max_value=256) | st.integers(min_value=1000, max_value=2048)
+
+
+@given(mc_scales, mc_scales, mc_scales, mc_alphas, mc_paths, st.integers())
+@settings(max_examples=100, deadline=None)
+def test_estimate_is_finite_or_a_typed_error(lam, mu, h, alpha, n_paths, seed):
+    try:
+        summary = estimate(ModelParams(lam, mu, h), SwitchingProb(alpha), n_paths, seed)
+    except TelegraphBoxError:
+        return
+    values = [x for field in dataclasses.astuple(summary) for x in _floats(field)]
+    assert all(map(math.isfinite, values)), (lam, mu, h, alpha, n_paths, seed, summary)
+
+
+@given(mc_scales, mc_scales, mc_scales, mc_alphas, mc_paths, st.integers(),
+       st.sampled_from(("json", "csv", "table")))
+@settings(max_examples=100, deadline=None)
+def test_cli_simulate_exits_0_with_finite_numbers_or_2_with_one_error_line(
+        lam, mu, h, alpha, n_paths, seed, fmt):
+    _exits_0_with_finite_numbers_or_2_with_one_error_line([
+        "simulate", f"--lambda={lam!r}", f"--mu={mu!r}", f"--h={h!r}", f"--alpha={alpha!r}",
+        f"--paths={n_paths}", f"--seed={seed}", f"--format={fmt}"])

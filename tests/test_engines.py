@@ -433,11 +433,11 @@ def test_phase_calls_without_dual_clocks_keep_every_other_byte(monkeypatch, case
 def test_one_phase_calls_without_dual_clocks_make_no_parity_rows(monkeypatch):
     p, n = ModelParams(1.0, 2.0, 1.0), 2 ** 14
     depths = []
-    lane_rows = simulate._lane_rows
+    fit = simulate._Lanes._fit
 
-    def spy(lanes, dual):
-        depths.append((dual, len(lanes)))
-        return lane_rows(lanes, dual)
+    def spy(lanes, *args):
+        fit(lanes, *args)
+        depths.append((lanes.dual, len(lanes.lanes)))
 
     def peak(dual):
         _run_phases(Boundary.LEVEL, p, RandomSource(1, 0), n, dual=dual)
@@ -448,7 +448,7 @@ def test_one_phase_calls_without_dual_clocks_make_no_parity_rows(monkeypatch):
         finally:
             tracemalloc.stop()
 
-    monkeypatch.setattr(simulate, "_lane_rows", spy)
+    monkeypatch.setattr(simulate._Lanes, "_fit", spy)
     assert peak(True) - peak(False) >= 4 * 8 * n
     assert set(depths) == {(True, 5), (False, 3)}
 
