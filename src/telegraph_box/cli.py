@@ -49,7 +49,9 @@ def _add_mc_flags(sp: argparse.ArgumentParser) -> None:
                     help="number of simulated paths/phases (default 100000)")
     sp.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     sp.add_argument("--threads", type=int,
-                    help="accepted and ignored: batches run serially")
+                    help="accepted and ignored: a large call splits its work "
+                         "with one forked process where that is predicted to "
+                         "pay, within the CPU affinity mask (taskset)")
 
 
 def _build_parser() -> argparse.ArgumentParser:

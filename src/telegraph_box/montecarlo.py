@@ -2,10 +2,16 @@
 
 Work is cut into fixed-size batches; batch b consumes the three random
 streams (3b, 3b+1, 3b+2) for origin phases, level phases, and absorption
-paths.  Batches run one after another, and their moments are reduced
-with a fixed pairwise tree, so the result depends only on (seed, batch
-layout), and the estimate over two half-ranges merges bit for bit into
-the full-range estimate.
+paths.  Each (batch, engine) pair is one job, which fills only its own
+moment rows of the batch, and the batches' moments are reduced with a
+fixed pairwise tree, so the result depends only on (seed, batch layout),
+and the estimate over two half-ranges merges bit for bit into the
+full-range estimate.
+
+A call runs its jobs one after another, unless the closed forms predict
+that the work pays for a second process: then one forked child runs part
+of the jobs while the caller runs the rest (README.md, "Splitting a call
+between two processes").  Which process ran a job moves no byte.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import numpy as np
 from . import analytics, mgf
 from ._report import render
 from .core import Boundary, ModelParams, RandomSource, SwitchingProb
-from .errors import DomainError
+from .errors import DomainError, TelegraphBoxError
 from .simulate import _run_absorption, _run_phases
 
 BATCH_SIZE = 2 ** 14
@@ -31,6 +37,21 @@ _QUANTITIES = (
     "f00", "f0h",
 )
 _NQ = len(_QUANTITIES)
+
+# the rows that engines 0, 1 and 2 of a batch fill: its absorption paths,
+# origin phases and level phases, in the order a serial call runs them.
+# The absorption paths go first, so that phase counts past the budget fail
+# before any phase is run; each engine has its own stream, so the order
+# changes no value
+_ENGINE_ROWS = tuple([_QUANTITIES.index(q) for q in names] for names in (
+    ("mean_m", "absorption_time"),
+    ("p00", "p0h", "m00", "m0h", "f00", "f0h"),
+    ("ph0", "phh", "mh0", "mhh"),
+))
+
+# a call forks only where both shares of its work are predicted to take
+# more draws than this (README.md, "Splitting a call between two processes")
+_SPLIT_MIN_DRAWS = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -80,49 +101,88 @@ def _clock_frequencies(cm: analytics.CycleMeans) -> tuple[float, float]:
     return -1.0 / cm.kappa00, -1.0 / cm.kappa0h
 
 
-def _batch_moments(p: ModelParams, s: SwitchingProb, seed: int,
-                   batch: int, size: int, omega: tuple[float, float]) -> np.ndarray:
-    """(count, sum, sum of squares) rows for one batch, shape (_NQ, 3).
+def _predicted_draws(p: ModelParams, s: SwitchingProb) -> tuple[float, float, float]:
+    """Exponential draws predicted by the closed forms per absorption path,
+    per origin phase and per level phase: the units of the three engines.
+
+    A phase draws once, then once more at each reversal, and by Wald's
+    identity its reversals number lam times its up time plus mu times its
+    down time on average: t00 + t0h is the mean up time of an origin
+    phase, thh + th0 that of a level phase.  A path starts, on average,
+    v = e0'(I - (1 - alpha)P)^-1 phases from each wall.
+    """
+    c, lam, mu, alpha = p._closed, p.lam, p.mu, s.alpha
+    origin = 1.0 + lam * (c.t00 + c.t0h) + mu * (c.m00 + c.m0h - c.t00 - c.t0h)
+    level = 1.0 + lam * (c.thh + c.th0) + mu * (c.mhh + c.mh0 - c.thh - c.th0)
+    # the determinant of I - (1 - alpha)P is alpha(alpha + (1 - alpha)(p0h + ph0)),
+    # a product with no cancellation
+    beta = 1.0 - alpha
+    det = alpha * (alpha + beta * (c.p0h + c.ph0))
+    path = ((alpha + beta * c.ph0) * origin + beta * c.p0h * level) / det if det else math.inf
+    return path, origin, level
+
+
+def _engine_columns(p: ModelParams, s: SwitchingProb, seed: int, batch: int,
+                    size: int, omega: tuple[float, float], engine: int) -> dict:
+    """The columns of one engine call of one batch, by row name.
 
     The f00 and f0h rows are exp(omega*T) on the origin phases that return
     and on those that cross, with T their dual stopping time t_stop.
     """
-    # first, so that phase counts past the budget fail before any phase
-    # is run; each engine has its own stream, so the order changes no value
-    cols = {}
-    cols["mean_m"], cols["absorption_time"], _ = _run_absorption(
-        p, s, RandomSource(seed, 3 * batch + 2), size)
-    endl, dur, _, t_stop, _ = _run_phases(
-        Boundary.ORIGIN, p, RandomSource(seed, 3 * batch), size)
-    cols |= {
-        "p00": ~endl,
-        "p0h": endl,
-        "m00": np.where(~endl, dur, 0.0),
-        "m0h": np.where(endl, dur, 0.0),
-    }
-    cols["f00"] = np.where(~endl, np.exp(omega[0] * t_stop), 0.0)
-    cols["f0h"] = np.where(endl, np.exp(omega[1] * t_stop), 0.0)
-
+    if engine == 0:
+        m, total, _ = _run_absorption(p, s, RandomSource(seed, 3 * batch + 2), size)
+        return {"mean_m": m, "absorption_time": total}
+    if engine == 1:
+        endl, dur, _, t_stop, _ = _run_phases(
+            Boundary.ORIGIN, p, RandomSource(seed, 3 * batch), size)
+        return {
+            "p00": ~endl,
+            "p0h": endl,
+            "m00": np.where(~endl, dur, 0.0),
+            "m0h": np.where(endl, dur, 0.0),
+            "f00": np.where(~endl, np.exp(omega[0] * t_stop), 0.0),
+            "f0h": np.where(endl, np.exp(omega[1] * t_stop), 0.0),
+        }
     # no row reads the level phases' dual clocks, so that call keeps none
     endl, dur, _, _, _ = _run_phases(
         Boundary.LEVEL, p, RandomSource(seed, 3 * batch + 1), size, dual=False)
-    cols["ph0"] = ~endl
-    cols["phh"] = endl
-    cols["mh0"] = np.where(~endl, dur, 0.0)
-    cols["mhh"] = np.where(endl, dur, 0.0)
+    return {
+        "ph0": ~endl,
+        "phh": endl,
+        "mh0": np.where(~endl, dur, 0.0),
+        "mhh": np.where(endl, dur, 0.0),
+    }
 
-    # column by column, not through a (12, size) matrix: each sum is the
+
+def _job_moments(p: ModelParams, s: SwitchingProb, seed: int,
+                 omega: tuple[float, float], job: tuple[int, int, int]) -> np.ndarray:
+    """(count, sum, sum of squares) rows of one job, (batch, engine, size):
+    the rows _ENGINE_ROWS[engine], in that order."""
+    batch, engine, size = job
+    cols = _engine_columns(p, s, seed, batch, size, omega, engine)
+    rows = _ENGINE_ROWS[engine]
+    # column by column, not through a (rows, size) matrix: each sum is the
     # same pairwise sum over one contiguous column.  On a 0/1 frequency
     # column the sum and the sum of squares are both the exact count
-    moments = np.empty((_NQ, 3))
+    moments = np.empty((len(rows), 3))
     moments[:, 0] = size
-    for row, name in zip(moments, _QUANTITIES):
-        x = cols[name]
+    for row, q in zip(moments, rows):
+        x = cols[_QUANTITIES[q]]
         if x.dtype == bool:
             row[1:] = np.count_nonzero(x)
         else:
             x = np.asarray(x, dtype=float)
             row[1:] = x.sum(), (x * x).sum()
+    return moments
+
+
+def _batch_moments(p: ModelParams, s: SwitchingProb, seed: int,
+                   batch: int, size: int, omega: tuple[float, float]) -> np.ndarray:
+    """(count, sum, sum of squares) rows for one batch, shape (_NQ, 3),
+    from its three jobs in engine order."""
+    moments = np.empty((_NQ, 3))
+    for engine, rows in enumerate(_ENGINE_ROWS):
+        moments[rows] = _job_moments(p, s, seed, omega, (batch, engine, size))
     return moments
 
 
@@ -134,6 +194,139 @@ def _reduce_pairwise(blocks: list[np.ndarray]) -> np.ndarray:
     return _reduce_pairwise(blocks[:mid]) + _reduce_pairwise(blocks[mid:])
 
 
+def _child_share(p: ModelParams, s: SwitchingProb, jobs: list) -> list[int]:
+    """The indices of the jobs a forked child runs, in job order; none
+    where the call stays serial.
+
+    Longest first, each job goes to the share with fewer predicted draws
+    so far, the child's on a tie.  The call forks only where the smaller
+    share passes _SPLIT_MIN_DRAWS, on Linux, with at least two CPUs in
+    the affinity mask (so `taskset -c 0` keeps it serial), and with no
+    second Python thread, which a fork would leave behind in the child.
+    """
+    # the modules a split needs are imported inside the functions that use
+    # them, so that importing this module imports nothing more
+    import os
+    import sys
+    import threading
+
+    units = _predicted_draws(p, s)
+    draws = [size * units[engine] for _, engine, size in jobs]
+    shares, child = [0.0, 0.0], []
+    for j in sorted(range(len(jobs)), key=lambda j: -draws[j]):
+        to_child = shares[1] <= shares[0]
+        shares[to_child] += draws[j]
+        if to_child:
+            child.append(j)
+    if (min(shares) > _SPLIT_MIN_DRAWS and sys.platform.startswith("linux")
+            and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1):
+        return sorted(child)
+    return []
+
+
+def _run_child(run, jobs: list, child: list[int], fd: int) -> None:
+    """The forked child: run its jobs in job order up to the first that
+    raises, write how many ended and their rows to `fd`, and leave through
+    os._exit, whatever happens.  No exception crosses the pipe: the caller
+    runs the first job that did not end itself."""
+    import os
+
+    try:
+        rows = []
+        try:
+            for j in child:
+                rows.append(run(jobs[j]))
+        except Exception:
+            # reported by the count of jobs that ended: the caller runs the
+            # failing job again and raises its error itself
+            pass
+        data = memoryview(len(rows).to_bytes(8, "little")
+                          + b"".join(r.tobytes() for r in rows))
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os._exit(0)
+
+
+def _read_rows(fd: int, jobs: list) -> list[np.ndarray]:
+    """The rows the child wrote for its first jobs `jobs`, read to the end
+    of the pipe; none if it left without writing all it announced."""
+    import os
+
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    data = b"".join(chunks)
+    n = int.from_bytes(data[:8], "little")
+    counts = [3 * len(_ENGINE_ROWS[engine]) for _, engine, _ in jobs[:n]]
+    if len(data) != 8 * (1 + sum(counts)):
+        return []
+    rows, at = [], 8
+    for count in counts:
+        rows.append(np.frombuffer(data, count=count, offset=at).reshape(-1, 3))
+        at += 8 * count
+    return rows
+
+
+def _run_split(p: ModelParams, s: SwitchingProb, seed: int, omega: tuple[float, float],
+               jobs: list, child: list[int]) -> list[np.ndarray]:
+    """The rows of every job, those of `child` from one forked child and
+    the rest from this process, which then runs any child job that did not
+    end.  A failing job raises what a serial call raises: the error of the
+    first failing job in job order.  The child is reaped before this
+    returns or raises, and killed first if this process is interrupted."""
+    import os
+    import warnings
+
+    def run(job):
+        return _job_moments(p, s, seed, omega, job)
+
+    read, write = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12 and later warn at a fork from a process with
+            # native threads, such as numpy's OpenBLAS pool; the child
+            # calls no BLAS
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        # no process to be had: every job runs here, in job order
+        os.close(read)
+        os.close(write)
+        return [run(job) for job in jobs]
+    if not pid:
+        _run_child(run, jobs, child, write)
+    os.close(write)
+    out, failed, ended = [None] * len(jobs), None, False
+    try:
+        for j in sorted(set(range(len(jobs))) - set(child)):
+            try:
+                out[j] = run(jobs[j])
+            except TelegraphBoxError as exc:
+                failed = j, exc
+                break
+        got = _read_rows(read, [jobs[j] for j in child])
+        ended = True
+    finally:
+        os.close(read)
+        try:
+            if not ended:
+                import signal
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        except (ProcessLookupError, ChildProcessError):
+            pass  # reaped by the system already, where SIGCHLD is ignored
+    for j, rows in zip(child, got):
+        out[j] = rows
+    for j in child[len(got):]:
+        if failed and j > failed[0]:
+            break
+        out[j] = run(jobs[j])
+    if failed:
+        raise failed[1]
+    return out
+
+
 def _gather(p: ModelParams, s: SwitchingProb, n_paths: int, seed: int,
             omega: tuple[float, float]) -> np.ndarray:
     if n_paths < 10 ** 3:
@@ -143,8 +336,15 @@ def _gather(p: ModelParams, s: SwitchingProb, n_paths: int, seed: int,
     sizes = [BATCH_SIZE] * (n_paths // BATCH_SIZE)
     if n_paths % BATCH_SIZE:
         sizes.append(n_paths % BATCH_SIZE)
-    return _reduce_pairwise([_batch_moments(p, s, seed, b, k, omega)
-                             for b, k in enumerate(sizes)])
+    jobs = [(b, engine, k) for b, k in enumerate(sizes) for engine in range(len(_ENGINE_ROWS))]
+    child = _child_share(p, s, jobs)
+    if not child:
+        return _reduce_pairwise([_batch_moments(p, s, seed, b, k, omega)
+                                 for b, k in enumerate(sizes)])
+    blocks = [np.empty((_NQ, 3)) for _ in sizes]
+    for (b, engine, _), rows in zip(jobs, _run_split(p, s, seed, omega, jobs, child)):
+        blocks[b][_ENGINE_ROWS[engine]] = rows
+    return _reduce_pairwise(blocks)
 
 
 def _mean_se(row: np.ndarray) -> tuple[float, float]:

@@ -425,8 +425,10 @@ class _Lanes:
         start = track[:-1].reshape(-1, 2, k)
         up = up_even != odd
         going_up = np.stack((up, ~up))
-        draws /= np.where(going_up, self.lam, self.mu)
-        np.multiply(draws, np.where(going_up, 1.0, -1.0), out=track[1:].reshape(-1, 2, k))
+        # the signed steps, + up and - down, and the draws their sizes
+        steps = track[1:].reshape(-1, 2, k)
+        np.divide(draws, np.where(going_up, self.lam, -self.mu), out=steps)
+        np.abs(steps, out=draws)
         _running_sum(track)
         # the rows below the last become the gaps to the wall ahead,
         # |wall - pos|: h - pos up and pos down up to a lane's first
@@ -445,14 +447,24 @@ class _Lanes:
             gen.standard_exponential(used * k)
         if rounds + used > _REVERSAL_CAP:
             raise ReversalCapExceeded(_REVERSAL_CAP)
+        # a lane that did not stop ran the whole block; a stopped one is
+        # put at its wall when it restarts and is not read otherwise.  The
+        # positions are read here, since `track` holds the mask below
+        pos[:] = track[block]
+        reach = track[t, at]
         # the stop rows are int16, which holds _BLOCK_ROUNDS and compares
-        # fastest; the rows summed span whole pairs
+        # fastest; the rows summed span whole pairs.  The draws past each
+        # stop are and-ed with 0, the others with all ones: 0.0 and the
+        # draw itself, bit for bit
         last = np.full(k, block, dtype=np.int16)
         last[at] = t
         span = used + used % 2
         past = contact[:span]
         np.greater(np.arange(span, dtype=np.int16)[:, None], last, out=past)
-        np.copyto(rows[2:span + 2], 0.0, where=past)
+        keep = track[:span].view(np.int64)
+        np.add(past.view(np.int8), -1, out=keep)
+        kept = rows[2:span + 2].view(np.int64)
+        kept &= keep
         half, same, other = t % 2, None, None
         if par is not None:
             rows[0], rows[1] = par[odd], par[1 - odd]
@@ -463,11 +475,8 @@ class _Lanes:
         rows[t + 2, at] = 0.0
         rows[1] = cur
         cur[:] = _row_sum(rows[1:used + 2])
-        # a lane that did not stop ran the whole block; a stopped one is
-        # put at its wall when it restarts and is not read otherwise
-        pos[:] = track[block]
         end_up = going_up[half, at]
-        total = cur.take(at) + track[t, at]
+        total = cur.take(at) + reach
         hits, lane_rounds = at.size, int(t.sum()) + at.size + (k - at.size) * block
         if not self.one:
             done[at] += total

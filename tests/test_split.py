@@ -1,0 +1,295 @@
+"""A Monte Carlo call split between the caller and one forked child.
+
+The split is forced on by setting the private `_SPLIT_MIN_DRAWS` to 0
+with two CPUs in the affinity mask, and forced off through the affinity
+mask.  Either way a call gives the same bytes, raises what a serial call
+raises, and leaves no child process behind.
+"""
+
+from __future__ import annotations
+
+import math
+import os
+import signal
+import sys
+import threading
+import time
+import warnings
+
+import numpy as np
+import pytest
+
+from telegraph_box import (
+    Boundary,
+    ModelParams,
+    RandomSource,
+    SwitchingProb,
+    analytics,
+    cli,
+    montecarlo,
+    simulate_until_absorption,
+)
+from telegraph_box.errors import TelegraphBoxError
+from telegraph_box.simulate import _run_phases
+from test_engines import SCALAR_CASES
+
+pytestmark = pytest.mark.skipif(not sys.platform.startswith("linux"),
+                                reason="a call forks only on Linux")
+
+# (lam, mu, H, alpha, paths): the three benchmark regimes, and three
+# batches of which the last holds the remainder
+GATHER_CASES = ((1.0, 2.0, 1.0, 0.5, 2 ** 15), (5.0, 5.0, 20.0, 1.0, 2000),
+                (1.0, 2.0, 1.0, 0.02, 2000), (1.0, 2.0, 1.0, 0.5, 2 ** 15 + 1234))
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Count the calls of os.fork."""
+    count = []
+    fork = os.fork
+
+    def counted():
+        count.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return count
+
+
+def split_on(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_SPLIT_MIN_DRAWS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def split_off(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+def gather(case, seed=3):
+    p, s = ModelParams(*case[:3]), SwitchingProb(case[3])
+    omega = montecarlo._clock_frequencies(analytics.expected_cycles(p))
+    return montecarlo._gather(p, s, case[4], seed, omega).tobytes()
+
+
+def jobs_of(n_paths):
+    sizes = [montecarlo.BATCH_SIZE] * (n_paths // montecarlo.BATCH_SIZE)
+    sizes += [n_paths % montecarlo.BATCH_SIZE] if n_paths % montecarlo.BATCH_SIZE else []
+    return [(b, engine, k) for b, k in enumerate(sizes) for engine in range(3)]
+
+
+@pytest.mark.parametrize("case", GATHER_CASES, ids=str)
+def test_split_and_serial_calls_give_the_same_bytes(monkeypatch, forks, case):
+    split_off(monkeypatch)
+    serial = gather(case)
+    assert not forks
+    split_on(monkeypatch)
+    assert gather(case) == serial
+    assert len(forks) == 1
+
+
+def test_the_benchmark_regimes_split_only_where_the_forms_predict_a_gain(monkeypatch):
+    # the 1000-path warm-up call and the alpha = 0.02 regime, whose phase
+    # jobs are about 77k draws against 2M for its absorption job, stay
+    # serial; the README regime at 2^17 paths and r*H = 100 split
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    for case, n_paths, splits in (((1.0, 2.0, 1.0, 0.5), 1000, False),
+                                  ((1.0, 2.0, 1.0, 0.02), 2 ** 14, False),
+                                  ((1.0, 2.0, 1.0, 0.5), 2 ** 17, True),
+                                  ((5.0, 5.0, 20.0, 1.0), 2 ** 14, True)):
+        p, s = ModelParams(*case[:3]), SwitchingProb(case[3])
+        assert bool(montecarlo._child_share(p, s, jobs_of(n_paths))) is splits, case
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_a_failing_job_of_the_child_raises_the_serial_error(capsys, monkeypatch, forks,
+                                                            command):
+    # at alpha = 1e-7 the absorption job, the longest, is the child's; it
+    # fails on its phase budget, and the caller runs it again itself
+    argv = [command, "--lambda", "1", "--mu", "2", "--h", "1", "--alpha", "1e-7",
+            "--paths", "1000", "--seed", "1"]
+    split_off(monkeypatch)
+    assert cli.run(argv) == 2
+    serial = capsys.readouterr()
+    assert "max_phases" in serial.err and not forks
+    split_on(monkeypatch)
+    p, s = ModelParams(1.0, 2.0, 1.0), SwitchingProb(1e-7)
+    assert 0 in montecarlo._child_share(p, s, jobs_of(1000))
+    assert cli.run(argv) == 2
+    assert capsys.readouterr() == serial
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize("childs_first", [False, True], ids=["caller-first", "child-first"])
+def test_the_first_failing_job_in_job_order_raises(monkeypatch, forks, childs_first):
+    # one job fails in each share; the error is that of the earlier one in
+    # job order, as in a serial run, whichever share ran it
+    case = GATHER_CASES[-1]
+    p, s, jobs = ModelParams(*case[:3]), SwitchingProb(case[3]), jobs_of(case[4])
+    split_on(monkeypatch)
+    child = montecarlo._child_share(p, s, jobs)
+    mine = [j for j in range(len(jobs)) if j not in child]
+    first = (child if childs_first else mine)[0]
+    later = min(j for j in (mine if childs_first else child) if j > first)
+    job_moments = montecarlo._job_moments
+
+    def failing(p, s, seed, omega, job):
+        if job in (jobs[first], jobs[later]):
+            raise TelegraphBoxError(f"job {job}")
+        return job_moments(p, s, seed, omega, job)
+
+    monkeypatch.setattr(montecarlo, "_job_moments", failing)
+    for split in (split_off, split_on):
+        split(monkeypatch)
+        with pytest.raises(TelegraphBoxError) as err:
+            gather(case)
+        assert str(err.value) == f"job {jobs[first]}"
+    assert len(forks) == 1
+
+
+def test_the_jobs_of_a_child_that_dies_run_in_the_caller(monkeypatch, forks):
+    caller = os.getpid()
+    job_moments = montecarlo._job_moments
+
+    def dying(*args):
+        if os.getpid() != caller:
+            os._exit(1)
+        return job_moments(*args)
+
+    case = GATHER_CASES[-1]
+    split_off(monkeypatch)
+    serial = gather(case)
+    split_on(monkeypatch)
+    monkeypatch.setattr(montecarlo, "_job_moments", dying)
+    assert gather(case) == serial
+    assert len(forks) == 1
+
+
+def test_a_call_that_cannot_fork_runs_every_job_itself(monkeypatch):
+    def fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    case = GATHER_CASES[-1]
+    split_off(monkeypatch)
+    serial = gather(case)
+    split_on(monkeypatch)
+    monkeypatch.setattr(os, "fork", fork)
+    assert gather(case) == serial
+
+
+def test_a_child_reaped_by_the_system_is_not_an_error(monkeypatch, forks):
+    # with SIGCHLD ignored, the system reaps the child itself, and waiting
+    # for it raises ChildProcessError once it has left
+    case = GATHER_CASES[-1]
+    split_off(monkeypatch)
+    serial = gather(case)
+    split_on(monkeypatch)
+    handler = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        assert gather(case) == serial
+    finally:
+        signal.signal(signal.SIGCHLD, handler)
+    assert len(forks) == 1
+
+
+def test_an_interrupted_caller_kills_its_child(monkeypatch, forks):
+    # the child would run for a minute; the caller is interrupted in its
+    # own first job, and the child is killed and reaped before it returns
+    caller = os.getpid()
+
+    def job_moments(*args):
+        if os.getpid() != caller:
+            time.sleep(60.0)
+            os._exit(0)
+        raise KeyboardInterrupt
+
+    split_on(monkeypatch)
+    monkeypatch.setattr(montecarlo, "_job_moments", job_moments)
+    t0 = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        gather(GATHER_CASES[0])
+    assert time.monotonic() - t0 < 30.0
+    assert len(forks) == 1
+
+
+def test_a_caller_with_a_second_thread_stays_serial(monkeypatch, forks):
+    case = GATHER_CASES[0]
+    split_off(monkeypatch)
+    serial = gather(case)
+    split_on(monkeypatch)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert gather(case) == serial
+    finally:
+        release.set()
+        other.join(timeout=10.0)
+    assert not other.is_alive()
+    assert not forks
+
+
+def test_the_fork_warning_of_a_threaded_process_stays_inside(monkeypatch):
+    # Python 3.12 and later warn when a process with native threads forks;
+    # the warning is made here, since this process may have none
+    fork, warned = os.fork, []
+
+    def warning_fork():
+        warned.append(os.getpid())
+        warnings.warn("This process is multi-threaded, use of fork() may lead "
+                      "to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+        return fork()
+
+    split_on(monkeypatch)
+    monkeypatch.setattr(os, "fork", warning_fork)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gather(GATHER_CASES[1])
+    assert len(warned) == 1
+
+
+def test_split_validate_output_is_byte_identical(capsys, monkeypatch, forks):
+    argv = ["validate", "--lambda", "5", "--mu", "5", "--h", "20", "--alpha", "1",
+            "--paths", "2000", "--seed", "31", "--format", "json"]
+    split_off(monkeypatch)
+    assert cli.run(argv) == 0
+    serial = capsys.readouterr().out
+    split_on(monkeypatch)
+    assert cli.run(argv) == 0
+    assert capsys.readouterr().out == serial
+    assert len(forks) == 1
+
+
+# ---------------------------------------------------------------------------
+# the work prediction that weighs the jobs
+
+
+@pytest.mark.parametrize("case", SCALAR_CASES)
+@pytest.mark.parametrize("start", [Boundary.ORIGIN, Boundary.LEVEL])
+def test_predicted_draws_per_phase_match_the_kernel(case, start):
+    # a phase draws n_switches + 1 exponentials
+    p = ModelParams(*case)
+    _, origin, level = montecarlo._predicted_draws(p, SwitchingProb(1.0))
+    n_switches = _run_phases(start, p, RandomSource(5, 0), 2 ** 14, dual=False)[2]
+    draws = n_switches + 1.0
+    se = draws.std(ddof=1) / math.sqrt(draws.size)
+    want = origin if start is Boundary.ORIGIN else level
+    assert abs(draws.mean() - want) < 4.0 * se, (case, start, draws.mean(), want)
+
+
+@pytest.mark.parametrize("alpha, paths", [(0.5, 4000), (0.02, 400)])
+def test_predicted_draws_per_path_match_a_counted_run(alpha, paths):
+    p, s = ModelParams(1.0, 2.0, 1.0), SwitchingProb(alpha)
+    rng = RandomSource(6, 0)
+    draws = np.array([sum(len(ph.ups) + len(ph.downs)
+                          for ph in simulate_until_absorption(p, s, rng).phases)
+                      for _ in range(paths)], dtype=float)
+    se = draws.std(ddof=1) / math.sqrt(paths)
+    want = montecarlo._predicted_draws(p, s)[0]
+    assert abs(draws.mean() - want) < 4.0 * se, (alpha, draws.mean(), want)
