@@ -123,35 +123,27 @@ def _predicted_draws(p: ModelParams, s: SwitchingProb) -> tuple[float, float, fl
 
 
 def _engine_columns(p: ModelParams, s: SwitchingProb, seed: int, batch: int,
-                    size: int, omega: tuple[float, float], engine: int) -> dict:
-    """The columns of one engine call of one batch, by row name.
+                    size: int, omega: tuple[float, float], engine: int) -> tuple:
+    """The columns of one engine call of one batch, in the order of its
+    rows _ENGINE_ROWS[engine].
 
     The f00 and f0h rows are exp(omega*T) on the origin phases that return
     and on those that cross, with T their dual stopping time t_stop.
     """
     if engine == 0:
         m, total, _ = _run_absorption(p, s, RandomSource(seed, 3 * batch + 2), size)
-        return {"mean_m": m, "absorption_time": total}
+        return m, total
     if engine == 1:
         endl, dur, _, t_stop, _ = _run_phases(
             Boundary.ORIGIN, p, RandomSource(seed, 3 * batch), size)
-        return {
-            "p00": ~endl,
-            "p0h": endl,
-            "m00": np.where(~endl, dur, 0.0),
-            "m0h": np.where(endl, dur, 0.0),
-            "f00": np.where(~endl, np.exp(omega[0] * t_stop), 0.0),
-            "f0h": np.where(endl, np.exp(omega[1] * t_stop), 0.0),
-        }
+        return (~endl, endl,
+                np.where(~endl, dur, 0.0), np.where(endl, dur, 0.0),
+                np.where(~endl, np.exp(omega[0] * t_stop), 0.0),
+                np.where(endl, np.exp(omega[1] * t_stop), 0.0))
     # no row reads the level phases' dual clocks, so that call keeps none
     endl, dur, _, _, _ = _run_phases(
         Boundary.LEVEL, p, RandomSource(seed, 3 * batch + 1), size, dual=False)
-    return {
-        "ph0": ~endl,
-        "phh": endl,
-        "mh0": np.where(~endl, dur, 0.0),
-        "mhh": np.where(endl, dur, 0.0),
-    }
+    return ~endl, endl, np.where(~endl, dur, 0.0), np.where(endl, dur, 0.0)
 
 
 def _job_moments(p: ModelParams, s: SwitchingProb, seed: int,
@@ -160,14 +152,12 @@ def _job_moments(p: ModelParams, s: SwitchingProb, seed: int,
     the rows _ENGINE_ROWS[engine], in that order."""
     batch, engine, size = job
     cols = _engine_columns(p, s, seed, batch, size, omega, engine)
-    rows = _ENGINE_ROWS[engine]
     # column by column, not through a (rows, size) matrix: each sum is the
     # same pairwise sum over one contiguous column.  On a 0/1 frequency
     # column the sum and the sum of squares are both the exact count
-    moments = np.empty((len(rows), 3))
+    moments = np.empty((len(cols), 3))
     moments[:, 0] = size
-    for row, q in zip(moments, rows):
-        x = cols[_QUANTITIES[q]]
+    for row, x in zip(moments, cols):
         if x.dtype == bool:
             row[1:] = np.count_nonzero(x)
         else:
@@ -224,65 +214,31 @@ def _child_share(p: ModelParams, s: SwitchingProb, jobs: list) -> list[int]:
     return []
 
 
-def _run_child(run, jobs: list, child: list[int], fd: int) -> None:
-    """The forked child: run its jobs in job order up to the first that
-    raises, write how many ended and their rows to `fd`, and leave through
-    os._exit, whatever happens.  No exception crosses the pipe: the caller
-    runs the first job that did not end itself."""
-    import os
-
-    try:
-        rows = []
-        try:
-            for j in child:
-                rows.append(run(jobs[j]))
-        except Exception:
-            # reported by the count of jobs that ended: the caller runs the
-            # failing job again and raises its error itself
-            pass
-        data = memoryview(len(rows).to_bytes(8, "little")
-                          + b"".join(r.tobytes() for r in rows))
-        while data:
-            data = data[os.write(fd, data):]
-    finally:
-        os._exit(0)
-
-
-def _read_rows(fd: int, jobs: list) -> list[np.ndarray]:
-    """The rows the child wrote for its first jobs `jobs`, read to the end
-    of the pipe; none if it left without writing all it announced."""
-    import os
-
-    chunks = []
-    while chunk := os.read(fd, 1 << 16):
-        chunks.append(chunk)
-    data = b"".join(chunks)
-    n = int.from_bytes(data[:8], "little")
-    counts = [3 * len(_ENGINE_ROWS[engine]) for _, engine, _ in jobs[:n]]
-    if len(data) != 8 * (1 + sum(counts)):
-        return []
-    rows, at = [], 8
-    for count in counts:
-        rows.append(np.frombuffer(data, count=count, offset=at).reshape(-1, 3))
-        at += 8 * count
-    return rows
-
-
 def _run_split(p: ModelParams, s: SwitchingProb, seed: int, omega: tuple[float, float],
                jobs: list, child: list[int]) -> list[np.ndarray]:
     """The rows of every job, those of `child` from one forked child and
-    the rest from this process, which then runs any child job that did not
-    end.  A failing job raises what a serial call raises: the error of the
-    first failing job in job order.  The child is reaped before this
-    returns or raises, and killed first if this process is interrupted."""
+    the rest from this process.
+
+    The child computes all its rows, writes them to a pipe, and leaves
+    through os._exit; it writes nothing if any of its jobs raises.  This
+    process runs its own jobs in job order, stops at the first that
+    raises, and then kills the child; otherwise it reads the pipe to its
+    end.  Either way it reaps the child, and kills it first if it is
+    interrupted.  Then one rule covers a fork that fails, a child that
+    fails or dies, and a job of its own that fails: every job left
+    without rows runs here, in job order.  So a failing job raises what a
+    serial call raises, the error of the first failing job in job order.
+    """
     import os
+    import signal
     import warnings
 
     def run(job):
         return _job_moments(p, s, seed, omega, job)
 
-    read, write = os.pipe()
+    out, fds, pid = [None] * len(jobs), (), None
     try:
+        fds = read, write = os.pipe()
         with warnings.catch_warnings():
             # Python 3.12 and later warn at a fork from a process with
             # native threads, such as numpy's OpenBLAS pool; the child
@@ -290,41 +246,41 @@ def _run_split(p: ModelParams, s: SwitchingProb, seed: int, omega: tuple[float, 
             warnings.simplefilter("ignore", DeprecationWarning)
             pid = os.fork()
     except OSError:
-        # no process to be had: every job runs here, in job order
-        os.close(read)
-        os.close(write)
-        return [run(job) for job in jobs]
-    if not pid:
-        _run_child(run, jobs, child, write)
-    os.close(write)
-    out, failed, ended = [None] * len(jobs), None, False
-    try:
-        for j in sorted(set(range(len(jobs))) - set(child)):
-            try:
-                out[j] = run(jobs[j])
-            except TelegraphBoxError as exc:
-                failed = j, exc
-                break
-        got = _read_rows(read, [jobs[j] for j in child])
-        ended = True
-    finally:
-        os.close(read)
+        # no descriptor or no process to be had: every job runs here
+        for fd in fds:
+            os.close(fd)
+    if pid == 0:
         try:
-            if not ended:
-                import signal
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        except (ProcessLookupError, ChildProcessError):
-            pass  # reaped by the system already, where SIGCHLD is ignored
-    for j, rows in zip(child, got):
-        out[j] = rows
-    for j in child[len(got):]:
-        if failed and j > failed[0]:
-            break
-        out[j] = run(jobs[j])
-    if failed:
-        raise failed[1]
-    return out
+            data = memoryview(b"".join(run(jobs[j]).tobytes() for j in child))
+            while data:
+                data = data[os.write(write, data):]
+        finally:
+            os._exit(0)
+    if pid:
+        os.close(write)
+        data = None
+        with open(read, "rb") as pipe:
+            try:
+                for j in sorted(set(range(len(jobs))) - set(child)):
+                    out[j] = run(jobs[j])
+                data = pipe.read()
+            except TelegraphBoxError:
+                pass
+            finally:
+                try:
+                    if data is None:
+                        os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                except (ProcessLookupError, ChildProcessError):
+                    pass  # reaped by the system already, where SIGCHLD is ignored
+        # a row is three float64; a child that died while it wrote sent
+        # fewer bytes, and none of them is taken
+        counts = [len(_ENGINE_ROWS[jobs[j][1]]) for j in child]
+        if data is not None and len(data) == 24 * sum(counts):
+            rows = np.frombuffer(data).reshape(-1, 3)
+            for j, r in zip(child, np.split(rows, np.cumsum(counts)[:-1])):
+                out[j] = r
+    return [r if r is not None else run(job) for r, job in zip(out, jobs)]
 
 
 def _gather(p: ModelParams, s: SwitchingProb, n_paths: int, seed: int,

@@ -183,6 +183,72 @@ def test_a_call_that_cannot_fork_runs_every_job_itself(monkeypatch):
     assert gather(case) == serial
 
 
+def test_the_caller_runs_only_its_own_share(monkeypatch, forks):
+    # the rows of a child that ends are taken, not computed again here
+    case = GATHER_CASES[-1]
+    p, s, jobs = ModelParams(*case[:3]), SwitchingProb(case[3]), jobs_of(case[4])
+    split_on(monkeypatch)
+    child = montecarlo._child_share(p, s, jobs)
+    job_moments, ran = montecarlo._job_moments, []
+
+    def counted(p, s, seed, omega, job):
+        ran.append(job)
+        return job_moments(p, s, seed, omega, job)
+
+    monkeypatch.setattr(montecarlo, "_job_moments", counted)
+    gather(case)
+    assert ran == [job for j, job in enumerate(jobs) if j not in child]
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize("fails", ["pipe", "fork"])
+def test_a_call_without_a_pipe_or_a_process_runs_every_job_itself(monkeypatch, fails):
+    # a process at its descriptor limit gets EMFILE from os.pipe; either
+    # way the call is serial, and it leaves no descriptor open
+    pipe, opened = os.pipe, []
+
+    def pipe_or_fail():
+        if fails == "pipe":
+            raise OSError(24, "Too many open files")
+        opened.extend(pipe())
+        return tuple(opened)
+
+    def fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    case = GATHER_CASES[-1]
+    split_off(monkeypatch)
+    serial = gather(case)
+    split_on(monkeypatch)
+    monkeypatch.setattr(os, "pipe", pipe_or_fail)
+    monkeypatch.setattr(os, "fork", fork)
+    assert gather(case) == serial
+    assert len(opened) == (2 if fails == "fork" else 0)
+    for fd in opened:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+
+
+def test_a_child_that_writes_part_of_its_rows_is_not_trusted(monkeypatch, forks):
+    # the child leaves after writing all but its last 8 bytes; the caller
+    # takes none of them and runs every job of the child itself
+    caller, write = os.getpid(), os.write
+
+    def partial(fd, data):
+        if os.getpid() != caller:
+            write(fd, bytes(data)[:-8])
+            os._exit(0)
+        return write(fd, data)
+
+    case = GATHER_CASES[-1]
+    split_off(monkeypatch)
+    serial = gather(case)
+    split_on(monkeypatch)
+    monkeypatch.setattr(os, "write", partial)
+    assert gather(case) == serial
+    assert len(forks) == 1
+
+
 def test_a_child_reaped_by_the_system_is_not_an_error(monkeypatch, forks):
     # with SIGCHLD ignored, the system reaps the child itself, and waiting
     # for it raises ChildProcessError once it has left
@@ -213,6 +279,26 @@ def test_an_interrupted_caller_kills_its_child(monkeypatch, forks):
     monkeypatch.setattr(montecarlo, "_job_moments", job_moments)
     t0 = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
+        gather(GATHER_CASES[0])
+    assert time.monotonic() - t0 < 30.0
+    assert len(forks) == 1
+
+
+def test_a_failing_caller_kills_its_child(monkeypatch, forks):
+    # the child would run for a minute; the caller's own first job fails,
+    # and the child is killed, not waited for, before the error is raised
+    caller = os.getpid()
+
+    def job_moments(*args):
+        if os.getpid() != caller:
+            time.sleep(60.0)
+            os._exit(0)
+        raise TelegraphBoxError("the caller's job")
+
+    split_on(monkeypatch)
+    monkeypatch.setattr(montecarlo, "_job_moments", job_moments)
+    t0 = time.monotonic()
+    with pytest.raises(TelegraphBoxError, match="the caller's job"):
         gather(GATHER_CASES[0])
     assert time.monotonic() - t0 < 30.0
     assert len(forks) == 1
