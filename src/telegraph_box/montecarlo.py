@@ -9,9 +9,12 @@ and the estimate over two half-ranges merges bit for bit into the
 full-range estimate.
 
 A call runs its jobs one after another, unless the closed forms predict
-that the work pays for a second process: then one forked child runs part
-of the jobs while the caller runs the rest (README.md, "Splitting a call
-between two processes").  Which process ran a job moves no byte.
+that the work pays for a second process: then one worker process runs
+part of the jobs while the caller runs the rest.  The worker is forked by
+the first call that splits and reused by later ones, holds none of its
+owner's other descriptors, is dropped on any failure, reaped at exit, and
+never shared with a process forked from its owner (README.md, "Splitting
+a call between two processes").  Which process ran a job moves no byte.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ _ENGINE_ROWS = tuple([_QUANTITIES.index(q) for q in names] for names in (
     ("ph0", "phh", "mh0", "mhh"),
 ))
 
-# a call forks only where both shares of its work are predicted to take
+# a call splits only where both shares of its work are predicted to take
 # more draws than this (README.md, "Splitting a call between two processes")
 _SPLIT_MIN_DRAWS = 2 ** 18
 
@@ -185,14 +188,14 @@ def _reduce_pairwise(blocks: list[np.ndarray]) -> np.ndarray:
 
 
 def _child_share(p: ModelParams, s: SwitchingProb, jobs: list) -> list[int]:
-    """The indices of the jobs a forked child runs, in job order; none
+    """The indices of the jobs the worker process runs, in job order; none
     where the call stays serial.
 
     Longest first, each job goes to the share with fewer predicted draws
-    so far, the child's on a tie.  The call forks only where the smaller
+    so far, the worker's on a tie.  The call splits only where the smaller
     share passes _SPLIT_MIN_DRAWS, on Linux, with at least two CPUs in
     the affinity mask (so `taskset -c 0` keeps it serial), and with no
-    second Python thread, which a fork would leave behind in the child.
+    second Python thread, which a fork would leave behind in the worker.
     """
     # the modules a split needs are imported inside the functions that use
     # them, so that importing this module imports nothing more
@@ -214,69 +217,170 @@ def _child_share(p: ModelParams, s: SwitchingProb, jobs: list) -> list[int]:
     return []
 
 
-def _run_split(p: ModelParams, s: SwitchingProb, seed: int, omega: tuple[float, float],
-               jobs: list, child: list[int]) -> list[np.ndarray]:
-    """The rows of every job, those of `child` from one forked child and
-    the rest from this process.
+# the one worker process that runs the other share of split calls, as
+# (pid, pidfd, request pipe, reply pipe): forked by the first call that
+# splits, reused by later ones, dropped on any failure, and reaped at exit
+_worker = None
+_hooked = False
 
-    The child computes all its rows, writes them to a pipe, and leaves
-    through os._exit; it writes nothing if any of its jobs raises.  This
-    process runs its own jobs in job order, stops at the first that
-    raises, and then kills the child; otherwise it reads the pipe to its
-    end.  Either way it reaps the child, and kills it first if it is
-    interrupted.  Then one rule covers a fork that fails, a child that
-    fails or dies, and a job of its own that fails: every job left
-    without rows runs here, in job order.  So a failing job raises what a
-    serial call raises, the error of the first failing job in job order.
-    """
+
+def _stop_worker() -> None:
+    """Kill the worker, reap it and close its descriptors; the next call
+    that splits forks a fresh one.  Runs at exit, and does nothing where
+    no worker runs.
+
+    The kill goes through the pidfd, which names this worker alone: where
+    SIGCHLD is ignored, the system reaps a worker that has left, and its
+    pid may already be another process's."""
     import os
     import signal
+
+    if _worker is None:
+        return
+    pidfd = _worker[1]
+    try:
+        signal.pidfd_send_signal(pidfd, signal.SIGKILL)
+        os.waitid(os.P_PIDFD, pidfd, os.WEXITED)
+    except (ProcessLookupError, ChildProcessError):
+        pass  # reaped by the system already, where SIGCHLD is ignored
+    finally:
+        _forget_worker()
+
+
+def _forget_worker() -> None:
+    """Close this process's descriptors of the worker and forget it.  A
+    process forked from the worker's owner runs this at once, so that
+    only the owner ever talks to the worker."""
+    global _worker
+    import os
+
+    if _worker is not None:
+        for fd in _worker[1:]:
+            os.close(fd)
+        _worker = None
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    import os
+
+    data = memoryview(data)
+    while data:
+        data = data[os.write(fd, data):]
+
+
+def _serve(request: int, reply: int) -> None:
+    """The worker's loop.  Each request is one pickled call: its
+    arguments and the jobs of the worker's share.  The answer is the raw
+    float64 bytes of all their rows, in job order, with no header.  The
+    worker leaves through os._exit at the end of the requests, and also
+    at any error, with nothing written for that call.
+
+    The worker first closes every descriptor but the standard streams and
+    its own two ends, so that a pipe or socket its owner closes later is
+    closed and not held open for the owner's lifetime."""
+    import os
+    import pickle
+
+    try:
+        low, high = sorted((request, reply))
+        os.closerange(3, low)
+        os.closerange(low + 1, high)
+        os.closerange(high + 1, 2 ** 31 - 1)
+        with open(request, "rb") as requests:
+            while True:
+                p, s, seed, omega, jobs = pickle.load(requests)
+                _write_all(reply, b"".join(
+                    _job_moments(p, s, seed, omega, job).tobytes() for job in jobs))
+    finally:
+        os._exit(0)
+
+
+def _start_worker() -> None:
+    """Fork the worker, or leave none if no pipe, process or pidfd is to
+    be had.  The first call registers the exit and fork hooks."""
+    global _worker, _hooked
+    import atexit
+    import os
     import warnings
 
-    def run(job):
-        return _job_moments(p, s, seed, omega, job)
-
-    out, fds, pid = [None] * len(jobs), (), None
+    if not _hooked:
+        atexit.register(_stop_worker)
+        os.register_at_fork(after_in_child=_forget_worker)
+        _hooked = True
+    fds = []
     try:
-        fds = read, write = os.pipe()
+        fds += os.pipe()
+        fds += os.pipe()
         with warnings.catch_warnings():
             # Python 3.12 and later warn at a fork from a process with
-            # native threads, such as numpy's OpenBLAS pool; the child
+            # native threads, such as numpy's OpenBLAS pool; the worker
             # calls no BLAS
             warnings.simplefilter("ignore", DeprecationWarning)
             pid = os.fork()
     except OSError:
-        # no descriptor or no process to be had: every job runs here
         for fd in fds:
             os.close(fd)
+        return
+    request_in, request_out, reply_in, reply_out = fds
     if pid == 0:
+        _serve(request_in, reply_out)
+    os.close(request_in)
+    os.close(reply_out)
+    try:
+        pidfd = os.pidfd_open(pid)
+    except OSError:
+        # no descriptor to be had: the worker reads the end of its
+        # requests and leaves, and the call runs every job itself
+        os.close(request_out)
+        os.close(reply_in)
         try:
-            data = memoryview(b"".join(run(jobs[j]).tobytes() for j in child))
-            while data:
-                data = data[os.write(write, data):]
-        finally:
-            os._exit(0)
-    if pid:
-        os.close(write)
-        data = None
-        with open(read, "rb") as pipe:
-            try:
-                for j in sorted(set(range(len(jobs))) - set(child)):
-                    out[j] = run(jobs[j])
-                data = pipe.read()
-            except TelegraphBoxError:
-                pass
-            finally:
-                try:
-                    if data is None:
-                        os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-                except (ProcessLookupError, ChildProcessError):
-                    pass  # reaped by the system already, where SIGCHLD is ignored
-        # a row is three float64; a child that died while it wrote sent
-        # fewer bytes, and none of them is taken
+            os.waitpid(pid, 0)
+        except ChildProcessError:
+            pass  # reaped by the system already, where SIGCHLD is ignored
+        return
+    _worker = (pid, pidfd, request_out, reply_in)
+
+
+def _run_split(p: ModelParams, s: SwitchingProb, seed: int, omega: tuple[float, float],
+               jobs: list, child: list[int]) -> list[np.ndarray]:
+    """The rows of every job, those of `child` from the worker process and
+    the rest from this one.
+
+    This process sends the worker its share, runs its own jobs in job
+    order, and stops at the first that raises; otherwise it reads the
+    worker's rows.  It keeps them only if they are exactly as many bytes
+    as the share has rows.  Any failure drops the worker (_stop_worker):
+    a job of its own that fails, an interrupt, a worker that is dead or
+    answers short.  Then one rule covers every failure, a worker that
+    cannot be forked too: every job left without rows runs here, in job
+    order.  So a failing job raises what a serial call raises, the error
+    of the first failing job in job order.
+    """
+    import pickle
+
+    def run(job):
+        return _job_moments(p, s, seed, omega, job)
+
+    if _worker is None:
+        _start_worker()
+    out = [None] * len(jobs)
+    if _worker is not None:
+        _, _, request, reply = _worker
+        # a row is three float64
         counts = [len(_ENGINE_ROWS[jobs[j][1]]) for j in child]
-        if data is not None and len(data) == 24 * sum(counts):
+        size, data = 24 * sum(counts), b""
+        try:
+            _write_all(request, pickle.dumps((p, s, seed, omega, [jobs[j] for j in child])))
+            for j in sorted(set(range(len(jobs))) - set(child)):
+                out[j] = run(jobs[j])
+            with open(reply, "rb", closefd=False) as answer:
+                data = answer.read(size)
+        except (BrokenPipeError, TelegraphBoxError):
+            pass
+        finally:
+            if len(data) != size:
+                _stop_worker()
+        if len(data) == size:
             rows = np.frombuffer(data).reshape(-1, 3)
             for j, r in zip(child, np.split(rows, np.cumsum(counts)[:-1])):
                 out[j] = r

@@ -1,9 +1,11 @@
-"""A Monte Carlo call split between the caller and one forked child.
+"""A Monte Carlo call split between the caller and one worker process.
 
 The split is forced on by setting the private `_SPLIT_MIN_DRAWS` to 0
 with two CPUs in the affinity mask, and forced off through the affinity
-mask.  Either way a call gives the same bytes, raises what a serial call
-raises, and leaves no child process behind.
+mask.  Either way a call gives the same bytes and raises what a serial
+call raises.  The worker is forked by the first call that splits, and
+every test starts and ends without one, so that a test's worker sees
+the test's patches and no process is left behind.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -44,7 +47,9 @@ GATHER_CASES = ((1.0, 2.0, 1.0, 0.5, 2 ** 15), (5.0, 5.0, 20.0, 1.0, 2000),
 
 @pytest.fixture(autouse=True)
 def no_child_left():
+    montecarlo._stop_worker()
     yield
+    montecarlo._stop_worker()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -201,32 +206,43 @@ def test_the_caller_runs_only_its_own_share(monkeypatch, forks):
     assert len(forks) == 1
 
 
-@pytest.mark.parametrize("fails", ["pipe", "fork"])
+@pytest.mark.parametrize("fails", ["pipe", "second-pipe", "fork", "pidfd"])
 def test_a_call_without_a_pipe_or_a_process_runs_every_job_itself(monkeypatch, fails):
-    # a process at its descriptor limit gets EMFILE from os.pipe; either
-    # way the call is serial, and it leaves no descriptor open
+    # a process at its descriptor limit gets EMFILE from os.pipe or
+    # os.pidfd_open; whether the first pipe, the second, the fork or the
+    # pidfd fails, the call is serial, it leaves no descriptor open, and a
+    # worker forked before its pidfd failed leaves and is reaped
+    pipes = {"pipe": 0, "second-pipe": 1, "fork": 2, "pidfd": 2}[fails]
     pipe, opened = os.pipe, []
 
     def pipe_or_fail():
-        if fails == "pipe":
+        if len(opened) == 2 * pipes:
             raise OSError(24, "Too many open files")
-        opened.extend(pipe())
-        return tuple(opened)
+        fds = pipe()
+        opened.extend(fds)
+        return fds
 
     def fork():
         raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    def pidfd_open(pid):
+        raise OSError(24, "Too many open files")
 
     case = GATHER_CASES[-1]
     split_off(monkeypatch)
     serial = gather(case)
     split_on(monkeypatch)
     monkeypatch.setattr(os, "pipe", pipe_or_fail)
-    monkeypatch.setattr(os, "fork", fork)
+    if fails == "pidfd":
+        monkeypatch.setattr(os, "pidfd_open", pidfd_open)
+    else:
+        monkeypatch.setattr(os, "fork", fork)
     assert gather(case) == serial
-    assert len(opened) == (2 if fails == "fork" else 0)
+    assert len(opened) == 2 * pipes
     for fd in opened:
         with pytest.raises(OSError):
             os.fstat(fd)
+    assert montecarlo._worker is None
 
 
 def test_a_child_that_writes_part_of_its_rows_is_not_trusted(monkeypatch, forks):
@@ -250,7 +266,7 @@ def test_a_child_that_writes_part_of_its_rows_is_not_trusted(monkeypatch, forks)
 
 
 def test_a_child_reaped_by_the_system_is_not_an_error(monkeypatch, forks):
-    # with SIGCHLD ignored, the system reaps the child itself, and waiting
+    # with SIGCHLD ignored, the system reaps the worker itself, and waiting
     # for it raises ChildProcessError once it has left
     case = GATHER_CASES[-1]
     split_off(monkeypatch)
@@ -259,9 +275,35 @@ def test_a_child_reaped_by_the_system_is_not_an_error(monkeypatch, forks):
     handler = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
     try:
         assert gather(case) == serial
+        montecarlo._stop_worker()
     finally:
         signal.signal(signal.SIGCHLD, handler)
     assert len(forks) == 1
+
+
+def test_a_worker_reaped_by_the_system_is_not_signalled_by_its_pid(monkeypatch):
+    # with SIGCHLD ignored, a worker that leaves by itself is reaped by the
+    # system and its pid is free for another process; stopping it then
+    # signals nothing by pid
+    split_on(monkeypatch)
+    handler = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        gather(GATHER_CASES[1])
+        pid = montecarlo._worker[0]
+        os.kill(pid, signal.SIGTERM)
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline:
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                break
+            time.sleep(0.01)
+        killed = []
+        monkeypatch.setattr(os, "kill", lambda *args: killed.append(args))
+        montecarlo._stop_worker()
+    finally:
+        signal.signal(signal.SIGCHLD, handler)
+    assert not killed and montecarlo._worker is None
 
 
 def test_an_interrupted_caller_kills_its_child(monkeypatch, forks):
@@ -350,6 +392,152 @@ def test_split_validate_output_is_byte_identical(capsys, monkeypatch, forks):
     assert cli.run(argv) == 0
     assert capsys.readouterr().out == serial
     assert len(forks) == 1
+
+
+# ---------------------------------------------------------------------------
+# the worker's lifetime
+
+
+def test_split_calls_reuse_one_worker(monkeypatch, forks):
+    split_off(monkeypatch)
+    serial = [gather(case) for case in GATHER_CASES[:3]]
+    split_on(monkeypatch)
+    assert [gather(case) for case in GATHER_CASES[:3]] == serial
+    assert len(forks) == 1
+
+
+def test_a_killed_worker_is_dropped_and_forked_again(monkeypatch, forks):
+    # the worker is killed between calls and waited for, unreaped, until
+    # it is gone; the next call's request meets a closed pipe, that call
+    # runs the worker's jobs itself, and the call after it forks again
+    case = GATHER_CASES[-1]
+    split_off(monkeypatch)
+    serial = gather(case)
+    split_on(monkeypatch)
+    assert gather(case) == serial
+    pid = montecarlo._worker[0]
+    os.kill(pid, signal.SIGKILL)
+    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+    assert gather(case) == serial
+    assert montecarlo._worker is None and len(forks) == 1
+    assert gather(case) == serial
+    assert montecarlo._worker is not None and len(forks) == 2
+
+
+def test_a_call_that_does_not_split_forks_nothing_and_registers_no_hook(
+        capsys, monkeypatch, forks):
+    # the benchmark's warm-up call; the first call that splits registers
+    # the exit hook and the fork hook, once
+    import atexit
+
+    hooks = []
+    monkeypatch.setattr(montecarlo, "_hooked", False)
+    monkeypatch.setattr(atexit, "register", hooks.append)
+    monkeypatch.setattr(os, "register_at_fork", lambda **kw: hooks.append(kw))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert cli.run(["validate", "--lambda", "1", "--mu", "2", "--h", "1", "--alpha", "0.5",
+                    "--paths", "1000", "--seed", "0", "--threads", "2",
+                    "--format", "json"]) == 0
+    capsys.readouterr()
+    assert not forks and not hooks and montecarlo._worker is None
+    split_on(monkeypatch)
+    gather(GATHER_CASES[1])
+    gather(GATHER_CASES[1])
+    assert len(forks) == 1
+    assert hooks == [montecarlo._stop_worker, {"after_in_child": montecarlo._forget_worker}]
+
+
+def test_a_forked_process_forks_its_own_worker(monkeypatch, forks):
+    # a process forked from the worker's owner, as a multiprocessing fork
+    # child is, closes its copies of the worker's pipes at once and forks
+    # a worker of its own when it splits; the owner keeps its worker
+    case = GATHER_CASES[1]
+    split_off(monkeypatch)
+    serial = gather(case)
+    split_on(monkeypatch)
+    assert gather(case) == serial
+    fds = montecarlo._worker[1:]
+    pid = os.fork()
+    if pid == 0:
+        ok = False
+        try:
+            closed = []
+            for fd in fds:
+                try:
+                    os.fstat(fd)
+                except OSError:
+                    closed.append(fd)
+            ok = (montecarlo._worker is None and len(closed) == 3
+                  and gather(case) == serial and len(forks) == 3)
+            montecarlo._stop_worker()
+        finally:
+            os._exit(0 if ok else 1)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert gather(case) == serial
+    assert len(forks) == 2   # the worker, and this test's own fork
+
+
+def test_the_worker_holds_no_descriptor_of_its_owner(monkeypatch):
+    # a pipe the owner opened before its first split call, and closes
+    # after it, reads its end while the worker still runs: the worker
+    # holds no copy of the write end
+    read, write = os.pipe()
+    try:
+        split_on(monkeypatch)
+        gather(GATHER_CASES[1])
+        pid = montecarlo._worker[0]
+        os.close(write)
+        write = None
+        os.set_blocking(read, False)
+        assert os.read(read, 1) == b""
+        os.kill(pid, 0)   # the worker is still there
+    finally:
+        for fd in (read, write):
+            if fd is not None:
+                os.close(fd)
+
+
+def test_a_worker_whose_owner_is_gone_leaves(monkeypatch, forks):
+    # an owner that leaves through os._exit runs no exit hook, but its end
+    # of the request pipe closes; the worker reads the end of its requests
+    # and leaves by itself
+    split_on(monkeypatch)
+    gather(GATHER_CASES[1])
+    pid, pidfd, request, reply = montecarlo._worker
+    montecarlo._worker = None
+    for fd in (pidfd, request, reply):
+        os.close(fd)
+    deadline = time.monotonic() + 30.0
+    done, status = os.waitpid(pid, os.WNOHANG)
+    while not done and time.monotonic() < deadline:
+        time.sleep(0.01)
+        done, status = os.waitpid(pid, os.WNOHANG)
+    if not done:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done and os.waitstatus_to_exitcode(status) == 0
+
+
+def test_no_worker_outlives_the_interpreter():
+    # the exit hook reaps the worker before the interpreter that forked
+    # it leaves
+    code = (
+        "import os\n"
+        "from telegraph_box import ModelParams, SwitchingProb, analytics, montecarlo\n"
+        "montecarlo._SPLIT_MIN_DRAWS = 0\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "p, s = ModelParams(5.0, 5.0, 20.0), SwitchingProb(1.0)\n"
+        "omega = montecarlo._clock_frequencies(analytics.expected_cycles(p))\n"
+        "montecarlo._gather(p, s, 2000, 3, omega)\n"
+        "print(montecarlo._worker[0])\n")
+    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(run.stdout), 0)
 
 
 # ---------------------------------------------------------------------------
