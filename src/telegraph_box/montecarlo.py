@@ -52,9 +52,11 @@ _ENGINE_ROWS = tuple([_QUANTITIES.index(q) for q in names] for names in (
     ("ph0", "phh", "mh0", "mhh"),
 ))
 
-# a call splits only where both shares of its work are predicted to take
-# more draws than this (README.md, "Splitting a call between two processes")
-_SPLIT_MIN_DRAWS = 2 ** 18
+# a call splits only where the worker's share, the lighter one, is predicted
+# to take more draws than this: at 23-80 ns a draw, 1.5-5 ms of work, about
+# what the first fork costs a process that makes one call (README.md,
+# "Splitting a call between two processes")
+_SPLIT_MIN_DRAWS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -192,10 +194,13 @@ def _child_share(p: ModelParams, s: SwitchingProb, jobs: list) -> list[int]:
     where the call stays serial.
 
     Longest first, each job goes to the share with fewer predicted draws
-    so far, the worker's on a tie.  The call splits only where the smaller
-    share passes _SPLIT_MIN_DRAWS, on Linux, with at least two CPUs in
-    the affinity mask (so `taskset -c 0` keeps it serial), and with no
-    second Python thread, which a fork would leave behind in the worker.
+    so far, the second share on a tie.  The worker takes the lighter of
+    the two, the second on an exact tie, so that the call does not wait
+    on the process that pays a round trip and runs in a copy-on-write
+    heap.  The call splits only where the worker's share passes
+    _SPLIT_MIN_DRAWS, on Linux, with at least two CPUs in the affinity
+    mask (so `taskset -c 0` keeps it serial), and with no second Python
+    thread, which a fork would leave behind in the worker.
     """
     # the modules a split needs are imported inside the functions that use
     # them, so that importing this module imports nothing more
@@ -205,15 +210,15 @@ def _child_share(p: ModelParams, s: SwitchingProb, jobs: list) -> list[int]:
 
     units = _predicted_draws(p, s)
     draws = [size * units[engine] for _, engine, size in jobs]
-    shares, child = [0.0, 0.0], []
+    shares, parts = [0.0, 0.0], ([], [])
     for j in sorted(range(len(jobs)), key=lambda j: -draws[j]):
-        to_child = shares[1] <= shares[0]
-        shares[to_child] += draws[j]
-        if to_child:
-            child.append(j)
-    if (min(shares) > _SPLIT_MIN_DRAWS and sys.platform.startswith("linux")
+        light = shares[1] <= shares[0]
+        shares[light] += draws[j]
+        parts[light].append(j)
+    light = shares[1] <= shares[0]
+    if (shares[light] > _SPLIT_MIN_DRAWS and sys.platform.startswith("linux")
             and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1):
-        return sorted(child)
+        return sorted(parts[light])
     return []
 
 

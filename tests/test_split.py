@@ -21,6 +21,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from telegraph_box import (
     Boundary,
@@ -100,23 +101,49 @@ def test_split_and_serial_calls_give_the_same_bytes(monkeypatch, forks, case):
 
 
 def test_the_benchmark_regimes_split_only_where_the_forms_predict_a_gain(monkeypatch):
-    # the 1000-path warm-up call and the alpha = 0.02 regime, whose phase
-    # jobs are about 77k draws against 2M for its absorption job, stay
-    # serial; the README regime at 2^17 paths and r*H = 100 split
+    # the worker takes the lighter share, and a call splits once that share
+    # passes 2^16 draws.  At alpha = 0.02 the worker runs the two phase
+    # jobs, about 77k draws against 2M for the absorption job; at r*H = 100
+    # one of three equal jobs; the README regime at 2^17 paths keeps the
+    # exact tie of longest-first, with batches 0, 2, 4 and 6 the worker's.
+    # The 1000-path warm-up call, 4.7k draws a share, stays serial
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    for case, n_paths, splits in (((1.0, 2.0, 1.0, 0.5), 1000, False),
-                                  ((1.0, 2.0, 1.0, 0.02), 2 ** 14, False),
-                                  ((1.0, 2.0, 1.0, 0.5), 2 ** 17, True),
-                                  ((5.0, 5.0, 20.0, 1.0), 2 ** 14, True)):
+    for case, n_paths, child in (((1.0, 2.0, 1.0, 0.5), 1000, []),
+                                 ((1.0, 2.0, 1.0, 0.02), 2 ** 14, [1, 2]),
+                                 ((1.0, 2.0, 1.0, 0.5), 2 ** 17,
+                                  [j for j in range(24) if j // 3 % 2 == 0]),
+                                 ((5.0, 5.0, 20.0, 1.0), 2 ** 14, [1])):
         p, s = ModelParams(*case[:3]), SwitchingProb(case[3])
-        assert bool(montecarlo._child_share(p, s, jobs_of(n_paths))) is splits, case
+        assert montecarlo._child_share(p, s, jobs_of(n_paths)) == child, case
+
+
+@given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+       st.floats(-8.0, 0.0), st.integers(1000, 2 ** 20))
+@example(0.0, math.log10(2.0), 0.0, math.log10(0.5), 2 ** 17)
+@settings(max_examples=200, deadline=None)
+def test_the_worker_takes_the_lighter_share_of_a_partition(lam, mu, h, alpha, n_paths):
+    # log-uniform rates, level and alpha; the shares are summed in the
+    # order longest-first adds the jobs, as _child_share sums them
+    p, s = ModelParams(10.0 ** lam, 10.0 ** mu, 10.0 ** h), SwitchingProb(10.0 ** alpha)
+    jobs = jobs_of(n_paths)
+    units = montecarlo._predicted_draws(p, s)
+    draws = [size * units[engine] for _, engine, size in jobs]
+    with pytest.MonkeyPatch.context() as mp:
+        split_on(mp)
+        child = montecarlo._child_share(p, s, jobs)
+    assert child and child == sorted(set(child)) and set(child) < set(range(len(jobs)))
+    order = sorted(range(len(jobs)), key=lambda j: -draws[j])
+    assert (sum(draws[j] for j in order if j in child)
+            <= sum(draws[j] for j in order if j not in child))
 
 
 @pytest.mark.parametrize("command", ["validate", "simulate"])
 def test_a_failing_job_of_the_child_raises_the_serial_error(capsys, monkeypatch, forks,
                                                             command):
-    # at alpha = 1e-7 the absorption job, the longest, is the child's; it
-    # fails on its phase budget, and the caller runs it again itself
+    # at alpha = 1e-7 the absorption job fails on its phase budget.  The
+    # worker holds it alone here, which the lighter share never does at
+    # this alpha; the caller's phase jobs succeed, it reads no rows, and it
+    # runs the worker's job again itself
     argv = [command, "--lambda", "1", "--mu", "2", "--h", "1", "--alpha", "1e-7",
             "--paths", "1000", "--seed", "1"]
     split_off(monkeypatch)
@@ -124,8 +151,7 @@ def test_a_failing_job_of_the_child_raises_the_serial_error(capsys, monkeypatch,
     serial = capsys.readouterr()
     assert "max_phases" in serial.err and not forks
     split_on(monkeypatch)
-    p, s = ModelParams(1.0, 2.0, 1.0), SwitchingProb(1e-7)
-    assert 0 in montecarlo._child_share(p, s, jobs_of(1000))
+    monkeypatch.setattr(montecarlo, "_child_share", lambda p, s, jobs: [0])
     assert cli.run(argv) == 2
     assert capsys.readouterr() == serial
     assert len(forks) == 1
