@@ -19,7 +19,13 @@ a call between two processes").  Which process ran a job moves no byte.
 
 from __future__ import annotations
 
+import atexit
 import math
+import os
+import pickle
+import sys
+import threading
+import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -53,9 +59,11 @@ _ENGINE_ROWS = tuple([_QUANTITIES.index(q) for q in names] for names in (
 ))
 
 # a call splits only where the worker's share, the lighter one, is predicted
-# to take more draws than this: at 23-80 ns a draw, 1.5-5 ms of work, about
-# what the first fork costs a process that makes one call (README.md,
-# "Splitting a call between two processes")
+# to take more draws than this, 1.5-5 ms of work at 23-80 ns a draw.  Every
+# benchmark call splits, and calls of fewer than about 14k paths at
+# (1,2,1,0.5) stay serial; a one-shot call just above it still loses more to
+# the first fork than it gains (README.md, "Splitting a call between two
+# processes")
 _SPLIT_MIN_DRAWS = 2 ** 16
 
 
@@ -202,12 +210,6 @@ def _child_share(p: ModelParams, s: SwitchingProb, jobs: list) -> list[int]:
     mask (so `taskset -c 0` keeps it serial), and with no second Python
     thread, which a fork would leave behind in the worker.
     """
-    # the modules a split needs are imported inside the functions that use
-    # them, so that importing this module imports nothing more
-    import os
-    import sys
-    import threading
-
     units = _predicted_draws(p, s)
     draws = [size * units[engine] for _, engine, size in jobs]
     shares, parts = [0.0, 0.0], ([], [])
@@ -237,7 +239,6 @@ def _stop_worker() -> None:
     The kill goes through the pidfd, which names this worker alone: where
     SIGCHLD is ignored, the system reaps a worker that has left, and its
     pid may already be another process's."""
-    import os
     import signal
 
     if _worker is None:
@@ -257,8 +258,6 @@ def _forget_worker() -> None:
     process forked from the worker's owner runs this at once, so that
     only the owner ever talks to the worker."""
     global _worker
-    import os
-
     if _worker is not None:
         for fd in _worker[1:]:
             os.close(fd)
@@ -266,8 +265,6 @@ def _forget_worker() -> None:
 
 
 def _write_all(fd: int, data: bytes) -> None:
-    import os
-
     data = memoryview(data)
     while data:
         data = data[os.write(fd, data):]
@@ -275,17 +272,14 @@ def _write_all(fd: int, data: bytes) -> None:
 
 def _serve(request: int, reply: int) -> None:
     """The worker's loop.  Each request is one pickled call: its
-    arguments and the jobs of the worker's share.  The answer is the raw
-    float64 bytes of all their rows, in job order, with no header.  The
+    arguments and the jobs of the worker's share.  The answer is one
+    pickled list, the rows of each of those jobs in job order.  The
     worker leaves through os._exit at the end of the requests, and also
     at any error, with nothing written for that call.
 
     The worker first closes every descriptor but the standard streams and
     its own two ends, so that a pipe or socket its owner closes later is
     closed and not held open for the owner's lifetime."""
-    import os
-    import pickle
-
     try:
         low, high = sorted((request, reply))
         os.closerange(3, low)
@@ -294,8 +288,8 @@ def _serve(request: int, reply: int) -> None:
         with open(request, "rb") as requests:
             while True:
                 p, s, seed, omega, jobs = pickle.load(requests)
-                _write_all(reply, b"".join(
-                    _job_moments(p, s, seed, omega, job).tobytes() for job in jobs))
+                _write_all(reply, pickle.dumps(
+                    [_job_moments(p, s, seed, omega, job) for job in jobs]))
     finally:
         os._exit(0)
 
@@ -304,10 +298,6 @@ def _start_worker() -> None:
     """Fork the worker, or leave none if no pipe, process or pidfd is to
     be had.  The first call registers the exit and fork hooks."""
     global _worker, _hooked
-    import atexit
-    import os
-    import warnings
-
     if not _hooked:
         atexit.register(_stop_worker)
         os.register_at_fork(after_in_child=_forget_worker)
@@ -353,16 +343,14 @@ def _run_split(p: ModelParams, s: SwitchingProb, seed: int, omega: tuple[float, 
 
     This process sends the worker its share, runs its own jobs in job
     order, and stops at the first that raises; otherwise it reads the
-    worker's rows.  It keeps them only if they are exactly as many bytes
-    as the share has rows.  Any failure drops the worker (_stop_worker):
+    worker's answer, one pickled list, and keeps it only if it is a list
+    as long as the share.  Any failure drops the worker (_stop_worker):
     a job of its own that fails, an interrupt, a worker that is dead or
     answers short.  Then one rule covers every failure, a worker that
     cannot be forked too: every job left without rows runs here, in job
     order.  So a failing job raises what a serial call raises, the error
     of the first failing job in job order.
     """
-    import pickle
-
     def run(job):
         return _job_moments(p, s, seed, omega, job)
 
@@ -371,24 +359,21 @@ def _run_split(p: ModelParams, s: SwitchingProb, seed: int, omega: tuple[float, 
     out = [None] * len(jobs)
     if _worker is not None:
         _, _, request, reply = _worker
-        # a row is three float64
-        counts = [len(_ENGINE_ROWS[jobs[j][1]]) for j in child]
-        size, data = 24 * sum(counts), b""
+        rows = None
         try:
             _write_all(request, pickle.dumps((p, s, seed, omega, [jobs[j] for j in child])))
             for j in sorted(set(range(len(jobs))) - set(child)):
                 out[j] = run(jobs[j])
             with open(reply, "rb", closefd=False) as answer:
-                data = answer.read(size)
-        except (BrokenPipeError, TelegraphBoxError):
+                rows = pickle.load(answer)
+        except (BrokenPipeError, EOFError, pickle.UnpicklingError, TelegraphBoxError):
             pass
         finally:
-            if len(data) != size:
+            if not (isinstance(rows, list) and len(rows) == len(child)):
                 _stop_worker()
-        if len(data) == size:
-            rows = np.frombuffer(data).reshape(-1, 3)
-            for j, r in zip(child, np.split(rows, np.cumsum(counts)[:-1])):
-                out[j] = r
+                rows = []
+        for j, r in zip(child, rows):
+            out[j] = r
     return [r if r is not None else run(job) for r, job in zip(out, jobs)]
 
 

@@ -84,6 +84,16 @@ def gather(case, seed=3):
     return montecarlo._gather(p, s, case[4], seed, omega).tobytes()
 
 
+def python_c(code):
+    """The stdout of `python -c code` in a fresh interpreter with this
+    package on its path."""
+    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True).stdout
+
+
 def jobs_of(n_paths):
     sizes = [montecarlo.BATCH_SIZE] * (n_paths // montecarlo.BATCH_SIZE)
     sizes += [n_paths % montecarlo.BATCH_SIZE] if n_paths % montecarlo.BATCH_SIZE else []
@@ -271,14 +281,19 @@ def test_a_call_without_a_pipe_or_a_process_runs_every_job_itself(monkeypatch, f
     assert montecarlo._worker is None
 
 
-def test_a_child_that_writes_part_of_its_rows_is_not_trusted(monkeypatch, forks):
-    # the child leaves after writing all but its last 8 bytes; the caller
-    # takes none of them and runs every job of the child itself
+@pytest.mark.parametrize("cut", [lambda n: 1, lambda n: 2, lambda n: n // 2,
+                                 lambda n: n - 8, lambda n: n - 1],
+                         ids=["first-byte", "header", "half", "all-but-8", "all-but-1"])
+def test_a_child_that_writes_part_of_its_rows_is_not_trusted(monkeypatch, forks, cut):
+    # the child leaves after writing the first `cut` bytes of its pickled
+    # answer; the caller takes none of its rows and runs every job of the
+    # child itself.  Cut after the two-byte protocol header, the answer
+    # fails to load as EOFError, and at the other cuts as UnpicklingError
     caller, write = os.getpid(), os.write
 
     def partial(fd, data):
         if os.getpid() != caller:
-            write(fd, bytes(data)[:-8])
+            write(fd, bytes(data)[:cut(len(data))])
             os._exit(0)
         return write(fd, data)
 
@@ -545,6 +560,17 @@ def test_a_worker_whose_owner_is_gone_leaves(monkeypatch, forks):
     assert done and os.waitstatus_to_exitcode(status) == 0
 
 
+def test_importing_the_package_loads_no_process_machinery():
+    # none of these is imported by numpy; the split imports signal when it
+    # first stops a worker and the others never, so a process that imports
+    # the package and stays serial pays for none of them
+    code = ("import sys, numpy\n"
+            "import telegraph_box, telegraph_box.cli\n"
+            "print(sorted({'signal', 'socket', 'multiprocessing', 'concurrent.futures'}"
+            " & set(sys.modules)))\n")
+    assert python_c(code) == "[]\n"
+
+
 def test_no_worker_outlives_the_interpreter():
     # the exit hook reaps the worker before the interpreter that forked
     # it leaves
@@ -557,13 +583,9 @@ def test_no_worker_outlives_the_interpreter():
         "omega = montecarlo._clock_frequencies(analytics.expected_cycles(p))\n"
         "montecarlo._gather(p, s, 2000, 3, omega)\n"
         "print(montecarlo._worker[0])\n")
-    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120, check=True)
+    pid = int(python_c(code))
     with pytest.raises(ProcessLookupError):
-        os.kill(int(run.stdout), 0)
+        os.kill(pid, 0)
 
 
 # ---------------------------------------------------------------------------
