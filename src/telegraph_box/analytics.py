@@ -10,6 +10,7 @@ Bernoulli(alpha) boundary switching.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 
 from .core import Boundary, ModelParams, SwitchingProb
@@ -146,6 +147,17 @@ def _gap_sum(s: float, n: int) -> float:
     return b * (b - a) * total / s
 
 
+def _index(j, least: float, what: str) -> int:
+    """j as an int, or InvalidIndex unless it is an integer >= least: ints
+    of any size, numpy ints and bools pass; floats, nan and inf do not."""
+    try:
+        if operator.index(j) >= least:
+            return operator.index(j)
+    except TypeError:
+        pass
+    raise InvalidIndex(f"{what}, got {j!r}")
+
+
 def _product(x: PhaseMatrix, y: PhaseMatrix) -> PhaseMatrix:
     """The matrix product x y, each entry a sum of two terms >= 0."""
     return PhaseMatrix(
@@ -164,8 +176,7 @@ def matrix_power(pm: PhaseMatrix, j: int) -> PhaseMatrix:
     P^j = S + theta^j * (I - S) with S the rank-one stationary projector.
     j = 0 gives exactly the identity, and a j past float64 the limit S.
     """
-    if j < 0:
-        raise InvalidIndex(f"matrix power needs j >= 0, got {j}")
+    j = _index(j, 0, "matrix power needs an integer j >= 0")
     if j == 0:
         return PhaseMatrix(1.0, 0.0, 0.0, 1.0)
     s = pm.p0h + pm.ph0
@@ -192,8 +203,8 @@ def q_sum(pm: PhaseMatrix, i: int, m: int, u: Boundary, v: Boundary) -> float:
     Empty ranges (m < i) give 0; the j = 0 term is the identity matrix.
     Evaluated in closed form via the geometric sum of theta^j.
     """
-    if i < 0:
-        raise InvalidIndex(f"q_sum needs i >= 0, got {i}")
+    i = _index(i, 0, "q_sum needs an integer i >= 0")
+    m = _index(m, -math.inf, "q_sum needs an integer m")
     if m < i:
         return 0.0
     if i == 0:
@@ -227,12 +238,10 @@ def expected_length_L(p: ModelParams, n: int) -> float:
     Satisfies L_n = L_{n-1} + l1 * P^(n-1)[0,0] + l1* * P^(n-1)[0,H];
     computed in closed form through the partial power sums.
     """
-    if n < 1:
-        raise InvalidIndex(f"expected_length_L needs n >= 1, got {n}")
+    n = _index(n, 1, "expected_length_L needs an integer n >= 1")
     cv = p._closed
     pm = _select(PhaseMatrix, p)
-    l1 = cv.m00 + cv.m0h
-    l1s = cv.mh0 + cv.mhh
+    l1, l1s = cv.m00 + cv.m0h, cv.mh0 + cv.mhh
     # at n = 1 both sums are empty, 0.0, and L_1 = l1 exactly; the bare
     # sums, so that an n past float64 fails naming n, not their i and m
     qs = q_sum.__wrapped__
@@ -241,25 +250,26 @@ def expected_length_L(p: ModelParams, n: int) -> float:
             + l1s * qs(pm, 1, n - 1, Boundary.ORIGIN, Boundary.LEVEL))
 
 
+def _expected_visits(p: ModelParams, s: SwitchingProb) -> tuple[float, float]:
+    """(v0, vH) = e0'(I - (1 - alpha)P)^-1, the mean numbers of phases a
+    path from the origin starts at each wall: sums of terms >= 0 over the
+    determinant, both inf where it underflows to 0."""
+    cv, alpha, beta = p._closed, s.alpha, 1.0 - s.alpha
+    # the determinant is a product with no cancellation
+    det = alpha * (alpha + beta * (cv.p0h + cv.ph0))
+    return ((alpha + beta * cv.ph0) / det, beta * cv.p0h / det) if det else (math.inf, math.inf)
+
+
 @float64_result("expected absorption times")
 def expected_absorption_time(p: ModelParams, s: SwitchingProb) -> AbsorptionReport:
     """Mean time until absorption for a path started at the origin.
 
-    The number of phases is Geometric(alpha), so the mean is
-    alpha * sum_n L_n (1-alpha)^(n-1); the geometric structure of the
-    phase chain collapses the series to two terms.  alpha = 1 returns
-    exactly the single-phase mean l1.  Raises DomainError where the mean
-    is past float64.
+    A path runs v0 phases from the origin and vH from the level on
+    average (_expected_visits), so the mean is v0 * l1 + vH * l1*.
+    alpha = 1 gives v = (1, 0) and exactly the single-phase mean l1.
+    Raises DomainError where the mean is past float64.
     """
-    cv, alpha = p._closed, s.alpha
-    l1 = cv.m00 + cv.m0h
-    l1s = cv.mh0 + cv.mhh
-    vart = cv.p00 + cv.phh - 1.0
-    if alpha == 1.0:
-        eta = l1
-    else:
-        # where 1/alpha is past float64 a denominator can underflow to 0
-        ssum = cv.p0h + cv.ph0
-        eta = ((l1 * cv.ph0 + l1s * cv.p0h) / (alpha * ssum)
-               + cv.p0h * (l1 - l1s) / (ssum * (1.0 - (1.0 - alpha) * vart)))
-    return AbsorptionReport(l1, l1s, vart, eta)
+    cv = p._closed
+    l1, l1s = cv.m00 + cv.m0h, cv.mh0 + cv.mhh
+    v0, vh = _expected_visits(p, s)
+    return AbsorptionReport(l1, l1s, cv.p00 + cv.phh - 1.0, v0 * l1 + vh * l1s)

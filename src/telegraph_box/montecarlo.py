@@ -8,13 +8,14 @@ fixed pairwise tree, so the result depends only on (seed, batch layout),
 and the estimate over two half-ranges merges bit for bit into the
 full-range estimate.
 
-A call runs its jobs one after another, unless the closed forms predict
-that the work pays for a second process: then one worker process runs
-part of the jobs while the caller runs the rest.  The worker is forked by
-the first call that splits and reused by later ones, holds none of its
-owner's other descriptors, is dropped on any failure, reaped at exit, and
-never shared with a process forked from its owner (README.md, "Splitting
-a call between two processes").  Which process ran a job moves no byte.
+Where the closed forms predict that the work pays for a second process,
+one worker process first runs part of the jobs while the caller runs the
+rest; then each batch runs every job that has no rows, in job order: the
+whole of a serial call, the leftovers of a split one.  The worker is
+forked by the first call that splits, reused by later ones, dropped on
+any failure, reaped at exit, and never shared with a process forked from
+its owner (README.md, "Splitting a call between two processes").  Which
+process ran a job moves no byte.
 """
 
 from __future__ import annotations
@@ -122,17 +123,14 @@ def _predicted_draws(p: ModelParams, s: SwitchingProb) -> tuple[float, float, fl
     identity its reversals number lam times its up time plus mu times its
     down time on average: t00 + t0h is the mean up time of an origin
     phase, thh + th0 that of a level phase.  A path starts, on average,
-    v = e0'(I - (1 - alpha)P)^-1 phases from each wall.
+    v = e0'(I - (1 - alpha)P)^-1 phases from each wall, the solve that
+    also gives the mean absorption time.
     """
-    c, lam, mu, alpha = p._closed, p.lam, p.mu, s.alpha
+    c, lam, mu = p._closed, p.lam, p.mu
     origin = 1.0 + lam * (c.t00 + c.t0h) + mu * (c.m00 + c.m0h - c.t00 - c.t0h)
     level = 1.0 + lam * (c.thh + c.th0) + mu * (c.mhh + c.mh0 - c.thh - c.th0)
-    # the determinant of I - (1 - alpha)P is alpha(alpha + (1 - alpha)(p0h + ph0)),
-    # a product with no cancellation
-    beta = 1.0 - alpha
-    det = alpha * (alpha + beta * (c.p0h + c.ph0))
-    path = ((alpha + beta * c.ph0) * origin + beta * c.p0h * level) / det if det else math.inf
-    return path, origin, level
+    v0, vh = analytics._expected_visits(p, s)
+    return v0 * origin + vh * level, origin, level
 
 
 def _engine_columns(p: ModelParams, s: SwitchingProb, seed: int, batch: int,
@@ -179,13 +177,15 @@ def _job_moments(p: ModelParams, s: SwitchingProb, seed: int,
     return moments
 
 
-def _batch_moments(p: ModelParams, s: SwitchingProb, seed: int,
-                   batch: int, size: int, omega: tuple[float, float]) -> np.ndarray:
+def _batch_moments(p: ModelParams, s: SwitchingProb, seed: int, batch: int,
+                   size: int, omega: tuple[float, float], done: dict) -> np.ndarray:
     """(count, sum, sum of squares) rows for one batch, shape (_NQ, 3),
-    from its three jobs in engine order."""
+    from its three jobs in engine order: the rows `done` holds for a job,
+    keyed by (batch, engine, size), and otherwise the job run here."""
     moments = np.empty((_NQ, 3))
     for engine, rows in enumerate(_ENGINE_ROWS):
-        moments[rows] = _job_moments(p, s, seed, omega, (batch, engine, size))
+        job = (batch, engine, size)
+        moments[rows] = done[job] if job in done else _job_moments(p, s, seed, omega, job)
     return moments
 
 
@@ -337,44 +337,37 @@ def _start_worker() -> None:
 
 
 def _run_split(p: ModelParams, s: SwitchingProb, seed: int, omega: tuple[float, float],
-               jobs: list, child: list[int]) -> list[np.ndarray]:
-    """The rows of every job, those of `child` from the worker process and
-    the rest from this one.
+               jobs: list, child: list[int]) -> dict:
+    """The rows, keyed by job, of the jobs that ran: this process's share
+    up to its first failure, and the worker's, `child`, if it answers whole.
 
     This process sends the worker its share, runs its own jobs in job
     order, and stops at the first that raises; otherwise it reads the
     worker's answer, one pickled list, and keeps it only if it is a list
     as long as the share.  Any failure drops the worker (_stop_worker):
     a job of its own that fails, an interrupt, a worker that is dead or
-    answers short.  Then one rule covers every failure, a worker that
-    cannot be forked too: every job left without rows runs here, in job
-    order.  So a failing job raises what a serial call raises, the error
-    of the first failing job in job order.
+    answers short.  A worker that cannot be forked runs no job.
     """
-    def run(job):
-        return _job_moments(p, s, seed, omega, job)
-
     if _worker is None:
         _start_worker()
-    out = [None] * len(jobs)
-    if _worker is not None:
-        _, _, request, reply = _worker
-        rows = None
-        try:
-            _write_all(request, pickle.dumps((p, s, seed, omega, [jobs[j] for j in child])))
-            for j in sorted(set(range(len(jobs))) - set(child)):
-                out[j] = run(jobs[j])
-            with open(reply, "rb", closefd=False) as answer:
-                rows = pickle.load(answer)
-        except (BrokenPipeError, EOFError, pickle.UnpicklingError, TelegraphBoxError):
-            pass
-        finally:
-            if not (isinstance(rows, list) and len(rows) == len(child)):
-                _stop_worker()
-                rows = []
-        for j, r in zip(child, rows):
-            out[j] = r
-    return [r if r is not None else run(job) for r, job in zip(out, jobs)]
+    if _worker is None:
+        return {}
+    _, _, request, reply = _worker
+    done, rows = {}, None
+    try:
+        _write_all(request, pickle.dumps((p, s, seed, omega, [jobs[j] for j in child])))
+        for j in sorted(set(range(len(jobs))) - set(child)):
+            done[jobs[j]] = _job_moments(p, s, seed, omega, jobs[j])
+        with open(reply, "rb", closefd=False) as answer:
+            rows = pickle.load(answer)
+    except (BrokenPipeError, EOFError, pickle.UnpicklingError, TelegraphBoxError):
+        pass
+    finally:
+        if not (isinstance(rows, list) and len(rows) == len(child)):
+            _stop_worker()
+            rows = []
+    done.update(zip([jobs[j] for j in child], rows))
+    return done
 
 
 def _gather(p: ModelParams, s: SwitchingProb, n_paths: int, seed: int,
@@ -388,13 +381,11 @@ def _gather(p: ModelParams, s: SwitchingProb, n_paths: int, seed: int,
         sizes.append(n_paths % BATCH_SIZE)
     jobs = [(b, engine, k) for b, k in enumerate(sizes) for engine in range(len(_ENGINE_ROWS))]
     child = _child_share(p, s, jobs)
-    if not child:
-        return _reduce_pairwise([_batch_moments(p, s, seed, b, k, omega)
-                                 for b, k in enumerate(sizes)])
-    blocks = [np.empty((_NQ, 3)) for _ in sizes]
-    for (b, engine, _), rows in zip(jobs, _run_split(p, s, seed, omega, jobs, child)):
-        blocks[b][_ENGINE_ROWS[engine]] = rows
-    return _reduce_pairwise(blocks)
+    done = _run_split(p, s, seed, omega, jobs, child) if child else {}
+    # each batch runs every job without rows, in job order, so a failing
+    # job raises what a serial call raises: the first failing job's error
+    return _reduce_pairwise([_batch_moments(p, s, seed, b, k, omega, done)
+                             for b, k in enumerate(sizes)])
 
 
 def _mean_se(row: np.ndarray) -> tuple[float, float]:

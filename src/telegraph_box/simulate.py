@@ -24,6 +24,10 @@ from .errors import IdentityViolation, MaxPhasesExceeded, ReversalCapExceeded
 # corrupted parameters or a phase count past what the cap can run
 _REVERSAL_CAP = 10 ** 7
 
+# the default budget of phases per absorption path; a drawn phase count
+# past it raises MaxPhasesExceeded before any phase is run
+_MAX_PHASES = 10 ** 6
+
 # |C - (2T +/- H)| must stay below this times max(1, C)
 _DUAL_TOL = 1e-9
 
@@ -130,7 +134,7 @@ def simulate_phase(start: Boundary, p: ModelParams, rng: RandomSource) -> PhaseR
 
 
 def simulate_until_absorption(p: ModelParams, s: SwitchingProb, rng: RandomSource,
-                              max_phases: int = 10 ** 6) -> PathRecord:
+                              max_phases: int = _MAX_PHASES) -> PathRecord:
     """Chain phases from the origin until the particle is absorbed.
 
     The phase count is drawn first, Geometric(alpha), the law of a
@@ -647,7 +651,7 @@ def _run_phases(start: Boundary, p: ModelParams, rng: RandomSource, n: int,
 
 
 def _run_absorption(p: ModelParams, s: SwitchingProb, rng: RandomSource, n: int,
-                    max_phases: int = 10 ** 6):
+                    max_phases: int = _MAX_PHASES):
     """Simulate n absorption paths from the origin, vectorized.
 
     Returns (m, total_time, absorbed_at_level).  Each path's phase count

@@ -287,8 +287,16 @@ def test_matrix_power_conventions():
     sq = matrix_power(pm, 2)
     assert rel(sq.p00, 26.0 / 36.0) < 1e-12
     assert rel(sq.p0h, 10.0 / 36.0) < 1e-12
+    assert matrix_power(pm, np.int64(2)) == sq
+    assert matrix_power(pm, True) == matrix_power(pm, 1)
     with pytest.raises(InvalidIndex):
         matrix_power(pm, -1)
+    # no float is an index, not even a whole one
+    for j in (2.5, 2.0, math.inf, math.nan):
+        with pytest.raises(InvalidIndex):
+            matrix_power(pm, j)
+        with pytest.raises(InvalidIndex):
+            q_sum(pm, 0, j, Boundary.ORIGIN, Boundary.ORIGIN)
 
 
 @pytest.mark.parametrize("p", [P121, P255])
@@ -384,8 +392,9 @@ def test_q_sum_matches_brute_force(p):
 def test_expected_length_frozen(p):
     for n, ref in LENGTH_REF[p].items():
         assert rel(expected_length_L(p, n), ref) < 1e-12
-    with pytest.raises(InvalidIndex):
-        expected_length_L(p, 0)
+    for n in (0, 2.5, 2.0, math.inf, math.nan):
+        with pytest.raises(InvalidIndex):
+            expected_length_L(p, n)
 
 
 def test_expected_length_two_term_identity():

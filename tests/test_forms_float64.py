@@ -2,9 +2,10 @@
 
 The gate: every one of the 16 closed forms and both conditional means
 within 1e-12 relative of `_mp_oracle` on a log grid in |delta| and
-min(lam, mu)*H, in both rate orders.  A value below the normal range has
-lost its relative precision in float64; there the bound is taken
-relative to the smallest normal float instead.
+min(lam, mu)*H, in both rate orders, and the mean absorption time within
+1e-13 of v.(l1, l1*) formed in mpmath from the oracle's closed forms.  A
+value below the normal range has lost its relative precision in float64;
+there the bound is taken relative to the smallest normal float instead.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -57,6 +59,32 @@ def test_conditional_means_match_the_oracle(decade):
             got = _forms.conditional_means(lam, mu, h, f * h)
             want = _mp_oracle.conditional_means(lam, mu, h, f * h)
             assert all(map(_close, got, want)), (lam, mu, h, f, got, want)
+
+
+ETA_REL = 1e-13
+ALPHAS = (1e-6, 0.02, 0.5, 1.0)
+
+
+def _absorption_time(cv: dict, alpha: float) -> float:
+    # v.(l1, l1*) with v = e0'(I - (1 - alpha)P)^-1, at 40 digits from the
+    # oracle's closed forms
+    with mp.workdps(40):
+        a, p0h, ph0 = mp.mpf(alpha), mp.mpf(cv["p0h"]), mp.mpf(cv["ph0"])
+        det = a * (a + (1 - a) * (p0h + ph0))
+        l1, l1s = mp.mpf(cv["m00"]) + cv["m0h"], mp.mpf(cv["mh0"]) + cv["mhh"]
+        return float(((a + (1 - a) * ph0) * l1 + (1 - a) * p0h * l1s) / det)
+
+
+@pytest.mark.parametrize("decade", DECADES)
+def test_absorption_time_matches_the_oracle(decade):
+    for lam, mu, h in _points(decade):
+        want = _mp_oracle.closed_values(lam, mu, h)
+        p = telegraph_box.ModelParams(lam, mu, h)
+        for alpha in ALPHAS:
+            got = telegraph_box.expected_absorption_time(
+                p, telegraph_box.SwitchingProb(alpha)).expected_absorption_time
+            ref = _absorption_time(want, alpha)
+            assert abs(got - ref) <= ETA_REL * ref, (lam, mu, h, alpha, got, ref)
 
 
 def _band_points():
