@@ -107,7 +107,8 @@ def _theta_powers(s: float, j: int) -> tuple[float, float]:
     so that a theta that rounds to 1 keeps its distance from 1; for
     theta < 0, 1 - s is exact and the sign follows the parity of j.  A j
     past float64 reads as inf.  Callers pass theta < 0 only for a chain
-    that alternates, theta = -1; other negative thetas go through P^2.
+    that alternates, theta = -1, and for a P^2 whose theta^2 is below an
+    ulp, theta within an ulp of 0; other negative thetas go through P^2.
     """
     if s == 1.0:
         return 0.0, 1.0
@@ -158,67 +159,53 @@ def _index(j, least: float, what: str) -> int:
     raise InvalidIndex(f"{what}, got {j!r}")
 
 
-def _product(x: PhaseMatrix, y: PhaseMatrix) -> PhaseMatrix:
-    """The matrix product x y, each entry a sum of two terms >= 0."""
-    return PhaseMatrix(
-        p00=x.p00 * y.p00 + x.p0h * y.ph0,
-        p0h=x.p00 * y.p0h + x.p0h * y.phh,
-        ph0=x.ph0 * y.p00 + x.phh * y.ph0,
-        phh=x.ph0 * y.p0h + x.phh * y.phh,
-    )
-
-
 @float64_result("phase-chain powers")
 def matrix_power(pm: PhaseMatrix, j: int) -> PhaseMatrix:
-    """j-th power of the phase chain in closed spectral form.
-
-    The chain has eigenvalues 1 and theta = p00 + phh - 1, so
-    P^j = S + theta^j * (I - S) with S the rank-one stationary projector.
-    j = 0 gives exactly the identity, and a j past float64 the limit S.
-    """
+    """j-th power of the phase chain, the one-term power sum q_sum(pm, j, j):
+    exactly the identity at j = 0, the stationary matrix past float64."""
     j = _index(j, 0, "matrix power needs an integer j >= 0")
-    if j == 0:
-        return PhaseMatrix(1.0, 0.0, 0.0, 1.0)
-    s = pm.p0h + pm.ph0
-    if s > 1.0 and pm.p00 + pm.phh:
-        # theta < 0: the powers of P^2, whose theta^2 > 0 is taken from its
-        # off-diagonal entries, sums of terms >= 0, so a chain that nearly
-        # alternates keeps them; an odd power is P^(j-1) P
-        half = matrix_power.__wrapped__(_product(pm, pm), j // 2)
-        return _product(half, pm) if j % 2 else half
-    vj, wj = _theta_powers(s, j)
-    stat0, stath = pm.ph0 / s, pm.p0h / s
-    return PhaseMatrix(
-        p00=stat0 + vj * stath,
-        p0h=stath * wj,
-        ph0=stat0 * wj,
-        phh=stath + vj * stat0,
-    )
+    o, l, qs = Boundary.ORIGIN, Boundary.LEVEL, q_sum.__wrapped__
+    return PhaseMatrix(*(qs(pm, j, j, u, v)
+                         for u, v in ((o, o), (o, l), (l, o), (l, l))))
 
 
 @float64_result("partial power sums")
 def q_sum(pm: PhaseMatrix, i: int, m: int, u: Boundary, v: Boundary) -> float:
     """Partial power sum: the (u, v) entry of sum_{j=i}^{m} P^j.
 
-    Empty ranges (m < i) give 0; the j = 0 term is the identity matrix.
-    Evaluated in closed form via the geometric sum of theta^j.
+    The chain has eigenvalues 1 and theta = p00 + phh - 1, so
+    P^j = S + theta^j * (I - S) with S the rank-one stationary projector,
+    and the sum is closed through the geometric sum of theta^j.  Empty
+    ranges (m < i) give 0; the j = 0 term is exactly the identity.
     """
     i = _index(i, 0, "q_sum needs an integer i >= 0")
     m = _index(m, -math.inf, "q_sum needs an integer m")
+    if pm.p0h + pm.ph0 > 1.0 and pm.p00 + pm.phh:
+        # theta < 0: sums of powers of P^2, whose theta^2 > 0 is taken from
+        # its off-diagonal entries, sums of terms >= 0, so a chain that
+        # nearly alternates keeps them; the odd powers j = 2k + 1 as P^(2k) P.
+        # P^2 is not squared again: where its theta^2 is below an ulp its
+        # entries may read as theta < 0, and squaring on would drift its
+        # rows from 1 and take time exponential in log m
+        o, l = Boundary.ORIGIN, Boundary.LEVEL
+        sq = PhaseMatrix(pm.p00 * pm.p00 + pm.p0h * pm.ph0, pm.p00 * pm.p0h + pm.p0h * pm.phh,
+                         pm.ph0 * pm.p00 + pm.phh * pm.ph0, pm.ph0 * pm.p0h + pm.phh * pm.phh)
+        odd = (i // 2, (m - 1) // 2)
+        return (_spectral_sum(sq, (i + 1) // 2, m // 2, u, v)
+                + _spectral_sum(sq, *odd, u, o) * pm.entry(o, v)
+                + _spectral_sum(sq, *odd, u, l) * pm.entry(l, v))
+    return _spectral_sum(pm, i, m, u, v)
+
+
+def _spectral_sum(pm: PhaseMatrix, i: int, m: int, u: Boundary, v: Boundary) -> float:
+    """q_sum in closed form at ints i >= 0 and m, for theta >= 0 and for the
+    chain that alternates, theta = -1."""
     if m < i:
         return 0.0
     if i == 0:
         # peel the identity term off so the j=0 convention is exact
-        return float(u is v) + q_sum(pm, 1, m, u, v)
+        return float(u is v) + _spectral_sum(pm, 1, m, u, v)
     s = pm.p0h + pm.ph0
-    if s > 1.0 and pm.p00 + pm.phh:
-        # theta < 0: sums of powers of P^2 as in matrix_power, the odd
-        # powers j = 2k + 1 as P^(2k) P, all terms >= 0
-        sq, qs = _product(pm, pm), q_sum.__wrapped__
-        odd = (i // 2, (m - 1) // 2)
-        return (qs(sq, (i + 1) // 2, m // 2, u, v)
-                + qs(sq, *odd, u, Boundary.ORIGIN) * pm.entry(Boundary.ORIGIN, v)
-                + qs(sq, *odd, u, Boundary.LEVEL) * pm.entry(Boundary.LEVEL, v))
     n = m - i + 1
     vi, wi = _theta_powers(s, i)
     stat0, stath = pm.ph0 / s, pm.p0h / s
@@ -236,18 +223,15 @@ def expected_length_L(p: ModelParams, n: int) -> float:
     origin, with each reflected phase restarting from the boundary it hit.
 
     Satisfies L_n = L_{n-1} + l1 * P^(n-1)[0,0] + l1* * P^(n-1)[0,H];
-    computed in closed form through the partial power sums.
+    computed in closed form through the power sums from j = 0 to n - 1.
     """
     n = _index(n, 1, "expected_length_L needs an integer n >= 1")
     cv = p._closed
     pm = _select(PhaseMatrix, p)
     l1, l1s = cv.m00 + cv.m0h, cv.mh0 + cv.mhh
-    # at n = 1 both sums are empty, 0.0, and L_1 = l1 exactly; the bare
-    # sums, so that an n past float64 fails naming n, not their i and m
-    qs = q_sum.__wrapped__
-    return (l1
-            + l1 * qs(pm, 1, n - 1, Boundary.ORIGIN, Boundary.ORIGIN)
-            + l1s * qs(pm, 1, n - 1, Boundary.ORIGIN, Boundary.LEVEL))
+    # the bare sums, so that an n past float64 fails naming n, not i and m
+    o, l, qs = Boundary.ORIGIN, Boundary.LEVEL, q_sum.__wrapped__
+    return l1 * qs(pm, 0, n - 1, o, o) + l1s * qs(pm, 0, n - 1, o, l)
 
 
 def _expected_visits(p: ModelParams, s: SwitchingProb) -> tuple[float, float]:

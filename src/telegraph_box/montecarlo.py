@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import atexit
 import math
+import operator
 import os
 import pickle
 import sys
@@ -372,6 +373,13 @@ def _run_split(p: ModelParams, s: SwitchingProb, seed: int, omega: tuple[float, 
 
 def _gather(p: ModelParams, s: SwitchingProb, n_paths: int, seed: int,
             omega: tuple[float, float]) -> np.ndarray:
+    # the rule of analytics._index: ints of any size, numpy ints and bools
+    # pass, as Python ints; floats, nan and inf do not
+    try:
+        n_paths, seed = operator.index(n_paths), operator.index(seed)
+    except TypeError:
+        raise DomainError(f"path count and seed must be integers, "
+                          f"got {n_paths!r} and {seed!r}") from None
     if n_paths < 10 ** 3:
         raise DomainError(f"need at least 1000 paths, got {n_paths}")
     if seed < 0:

@@ -359,11 +359,50 @@ def test_powers_of_a_nearly_alternating_chain_match_the_oracle(pm):
             assert abs(g - r) <= 1e-12 * abs(r), (i, m, u, v, g, r)
 
 
+# theta = -5.8e-9: theta^2 is below an ulp, and the off-diagonal entries
+# of P^2 sum past 1 in float64, so P^2 reads as theta < 0 again
+NEAR_ZERO_THETA = PhaseMatrix(1.950973725705043e-12, 0.9999999999980491,
+                              5.800262052070127e-09, 0.9999999941997381)
+
+
+def test_powers_whose_square_reads_theta_below_zero_match_the_oracle():
+    pm, o, l = NEAR_ZERO_THETA, Boundary.ORIGIN, Boundary.LEVEL
+    square = (pm.p00 * pm.p0h + pm.p0h * pm.phh) + (pm.ph0 * pm.p00 + pm.phh * pm.ph0)
+    assert square > 1.0
+    for j in (3, 7, 198, 10 ** 6, 10 ** 17 + 1, 10 ** 400 + 1):
+        got = matrix_power(pm, j)
+        ref = _mp_oracle.phase_power_sum(pm.p0h, pm.ph0, j, j)
+        for g, r in zip((got.p00, got.p0h, got.ph0, got.phh), ref):
+            assert abs(g - r) <= 1e-12 * abs(r), (j, g, r)
+    for i, m in ((3, 198), (3, 10 ** 17), (10 ** 400, 10 ** 400 + 9)):
+        ref = _mp_oracle.phase_power_sum(pm.p0h, pm.ph0, i, m)
+        for (u, v), r in zip(((o, o), (o, l), (l, o), (l, l)), ref):
+            g = q_sum(pm, i, m, u, v)
+            assert abs(g - r) <= 1e-12 * abs(r), (i, m, u, v, g, r)
+
+
 def test_expected_length_past_float64_names_n():
     with pytest.raises(DomainError, match=r"^expected phase lengths at "
                        r"p=ModelParams\(lam=1\.0, mu=2\.0, h=1\.0, velocity=1\.0\), "
                        r"n=10{400} are not finite"):
         expected_length_L(P121, 10 ** 400)
+
+
+def test_q_sum_past_float64_names_its_own_i_and_m():
+    pm = phase_probabilities(P121)
+    with pytest.raises(DomainError, match=r"^partial power sums at i=0, m=1000"):
+        q_sum(pm, 0, 10 ** 400, Boundary.ORIGIN, Boundary.ORIGIN)
+
+
+@pytest.mark.parametrize("p", POWER_POINTS)
+def test_expected_length_matches_the_oracle_at_any_n(p):
+    pm, cm = phase_probabilities(p), expected_cycles(p)
+    l1, l1s = cm.m00 + cm.m0h, cm.mh0 + cm.mhh
+    for n in (2, 7, 10 ** 6, 10 ** 17, 10 ** 17 + 1):
+        q00, q0h, _, _ = _mp_oracle.phase_power_sum(pm.p0h, pm.ph0, 1, n - 1)
+        ref = l1 * (1.0 + q00) + l1s * q0h
+        got = expected_length_L(p, n)
+        assert abs(got - ref) <= 1e-12 * ref, (n, got, ref)
 
 
 def test_q_sum_conventions_and_example():

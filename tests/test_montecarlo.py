@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
+import numpy as np
 import pytest
 
 from telegraph_box import (
@@ -25,10 +27,21 @@ A05 = SwitchingProb(0.5)
 
 
 def test_estimate_rejects_small_or_negative():
-    with pytest.raises(DomainError):
-        estimate(P121, A05, 999, 0)
-    with pytest.raises(DomainError):
-        estimate(P121, A05, 10000, -1)
+    for run in (estimate, validate):
+        with pytest.raises(DomainError):
+            run(P121, A05, 999, 0)
+        with pytest.raises(DomainError):
+            run(P121, A05, 10000, -1)
+        # a path count or seed that is not an integer is a typed error
+        # naming the value, not a TypeError or a truncated seed
+        for n_paths, seed, bad in ((2000.0, 1, "2000.0"), (1e20, 1, "1e+20"),
+                                   (math.nan, 1, "nan"), (2000, math.inf, "inf"),
+                                   (2000, 1.5, "1.5"), (2000, np.float64(1.0), "1.0")):
+            with pytest.raises(DomainError, match="must be integers, got .*" + re.escape(bad)):
+                run(P121, A05, n_paths, seed)
+    # a numpy int counts as the int it holds, and a seed may be of any size
+    assert estimate(P121, A05, np.int64(1000), np.int64(3)) == estimate(P121, A05, 1000, 3)
+    assert estimate(P121, A05, 1000, 10 ** 30).n_paths == 1000
 
 
 @pytest.mark.parametrize("z_max", [math.nan, math.inf, 0.0, -1.0])
