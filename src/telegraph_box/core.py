@@ -12,6 +12,7 @@ so all durations stay in original time units.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -105,10 +106,17 @@ class RandomSource:
     """
 
     def __init__(self, seed: int, stream_index: int = 0):
-        if seed < 0 or stream_index < 0:
-            raise ValueError("seed and stream_index must be nonnegative")
-        self.seed = int(seed)
-        self.stream_index = int(stream_index)
+        # the rule of analytics._index: ints of any size, bools and numpy
+        # ints pass, as Python ints; floats, nan and inf do not
+        try:
+            ok = operator.index(seed) >= 0 and operator.index(stream_index) >= 0
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ValueError(f"seed and stream_index must be integers >= 0, "
+                             f"got {seed!r} and {stream_index!r}")
+        self.seed = operator.index(seed)
+        self.stream_index = operator.index(stream_index)
         ss = np.random.SeedSequence(entropy=self.seed,
                                     spawn_key=(self.stream_index,))
         self.gen = np.random.Generator(np.random.PCG64(ss))

@@ -88,3 +88,11 @@ class ReversalCapExceeded(TelegraphBoxError):
     """Defensive cap on velocity reversals was hit: within one phase of
     the scalar engine, or over all the rounds of one array-kernel call,
     restarts of absorption paths included."""
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        super().__init__(
+            f"reversal cap of {cap} reached: it bounds the velocity reversals "
+            "of one scalar phase and the rounds of one array-kernel call; "
+            "check the rates, the level and alpha"
+        )

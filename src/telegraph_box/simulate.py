@@ -247,10 +247,9 @@ class _Lanes:
         self.h, self.lam, self.mu, self.gen = float(p.effective_level), p.lam, p.mu, rng.gen
         # the int64 bits of the level, which a restart at the level copies
         self.level = np.asarray(self.h).view(np.int64)
-        self.origin, self.restarts = origin, int(phases.sum()) - n
         # only a one-phase call records reversal counts, and only a dual one
         # keeps the parity sums that the dual clocks are made from
-        self.one = not self.restarts
+        self.origin, self.one = origin, int(phases.sum()) == n
         self.dual = dual and self.one
         self.out = (np.empty(n, dtype=bool), np.empty(n),
                     np.empty(n, dtype=np.int64) if self.one else None,
@@ -260,18 +259,16 @@ class _Lanes:
         # whether lanes head both ways, which only a block's restarts cause
         self.mixed = False
         self.scratch = self.cells = None
-        self.lanes = np.zeros((self.depth(), n))
+        # the rows are fixed for the whole call: 3 in a one-phase call
+        # without dual clocks, 5 in any other
+        self.lanes = np.zeros((3 if self.one and not self.dual else 5, n))
         self.lanes[0] = 0.0 if origin else self.h
         bits = self.lanes.view(np.int64)
         bits[2] = np.arange(n)
-        if self.restarts:
+        if not self.one:
             bits[4] = phases
         self.up_even = np.full(n, origin)
         self._fit(n)
-
-    def depth(self):
-        """The rows of the lane array that the call still reads."""
-        return 5 if self.dual else 3 + (not self.one) + bool(self.restarts)
 
     def _fit(self, k, own=True):
         """Narrow the call to its first k columns, all live, moved to arrays
@@ -281,15 +278,15 @@ class _Lanes:
             # the old scratch rows, and the views of them, go first
             self.scratch = None
             if k < self.lanes.shape[1]:
-                self.lanes, self.up_even = self.lanes[:self.depth(), :k].copy(), self.up_even[:k].copy()
+                self.lanes, self.up_even = self.lanes[:, :k].copy(), self.up_even[:k].copy()
             self.flags, self.alive = np.empty(k, dtype=bool), np.ones(k, dtype=bool)
         else:
             self.alive[:k] = True
         lanes = self.lanes[:, :k]
-        bits, lean = lanes.view(np.int64), not self.dual
-        self.rows = (lanes[0], lanes[1], lanes[3] if lean and len(lanes) > 3 else None,
-                     None if lean else lanes[3:5], bits[2],
-                     bits[4] if lean and len(lanes) > 4 else None, bits[0], bits[1])
+        bits, many = lanes.view(np.int64), not self.one
+        self.rows = (lanes[0], lanes[1], lanes[3] if many else None,
+                     lanes[3:5] if self.dual else None, bits[2],
+                     bits[4] if many else None, bits[0], bits[1])
         self.up_even = up = self.up_even[:k]
         self.mixed = self.mixed and up.any() and not up.all()
         if self.scratch is None:
@@ -303,7 +300,7 @@ class _Lanes:
         scratch rows hold; before a block, to arrays their own size if they
         fill at most 1/_SHRINK_SHARE of the columns (README, "Compaction
         and shrinking")."""
-        kl, moved = self.k - self.dead, self.lanes[:self.depth()]
+        kl, moved = self.k - self.dead, self.lanes
         keep = np.flatnonzero(self.alive[:self.k])
         width = self.scratch.size // len(moved)
         for lo in range(0, kl, width):
@@ -370,13 +367,11 @@ class _Lanes:
             pos -= gap
         cur += gap
         hits = np.count_nonzero(stop)
-        if not self.restarts:
+        if self.one:
             # every stopped lane retires; a one-phase call keeps no
             # completed time, since it would be 0.0, and 0.0 + x is x
             at = np.flatnonzero(stop)
             total = cur.take(at)
-            if done is not None:
-                total += done.take(at)
         else:
             # the mask moves the stopped lanes' phase time from cur to done
             # and, unless they are at the origin already, their position to
@@ -391,7 +386,6 @@ class _Lanes:
                 pos_bits ^= cut
             left += hit
             at = np.flatnonzero(np.equal(left, 0, out=stop))
-            self.restarts -= hits - at.size
             total = done.take(at)
         same = other = None
         if par is not None:
@@ -486,16 +480,14 @@ class _Lanes:
             done[at] += total
             # a lane with phases left heads away from its wall from the
             # next round on, whatever that round's parity
-            if self.restarts:
-                left[at] -= 1
-                more = left.take(at) > 0
-                again, back = at[more], end_up[more]
-                pos[again] = h * back
-                cur[again] = 0.0
-                up_even[again] = back == bool((rounds + used) % 2)
-                self.mixed = up_even.min() != up_even.max()
-                self.restarts -= again.size
-                at, end_up = at[~more], end_up[~more]
+            left[at] -= 1
+            more = left.take(at) > 0
+            again, back = at[more], end_up[more]
+            pos[again] = h * back
+            cur[again] = 0.0
+            up_even[again] = back == bool((rounds + used) % 2)
+            self.mixed = up_even.min() != up_even.max()
+            at, end_up = at[~more], end_up[~more]
             total = done.take(at)
         self.retire(used, lane_rounds, hits, at, total, end_up, t + rounds, same, other)
 
@@ -508,12 +500,9 @@ class _Lanes:
         cols = np.flatnonzero(self.alive[:self.k])
         lanes, k = self.lanes[:, cols], cols.size
         bits = lanes.view(np.int64)
-        # rows the call does not keep start at 0.0 here; phases left is kept
-        # only while lanes have restarts left, then every live lane runs its
-        # last phase, and the row, if there, is stale
-        done = [0.0] * k if one else lanes[3].tolist()
+        # rows the call does not keep start at 0.0 here, and phases left at 1
+        done, left = ([0.0] * k, [1] * k) if one else (lanes[3].tolist(), bits[4].tolist())
         par = lanes[3:5].tolist() if dual else ([0.0] * k,) * 2
-        left = bits[4].tolist() if self.restarts else [1] * k
         # per lane: position, current and completed phase time, even and odd
         # draw totals, phases left, index and heading on even rounds
         live = [list(s) for s in zip(*lanes[:2].tolist(), done, *par, left,
@@ -552,10 +541,8 @@ class _Lanes:
                     s[0], s[1] = h if up else 0.0, 0.0
                 else:
                     finished.append((s[6], s[2], up, rounds, s[same], s[other]))
-            ended = len(finished) - before
-            self.restarts -= hits - ended
             self._tally(1, len(live), hits)
-            if ended:
+            if len(finished) > before:
                 live = [s for s in live if s[5]]
         if finished:
             self._record(*map(np.array, zip(*finished)))
@@ -569,9 +556,7 @@ class _Lanes:
             if dual:
                 front[3:5] = cols[3:5]
             elif not one:
-                front[3] = cols[2]
-                if self.restarts:
-                    bits[4] = cols[5]
+                front[3], bits[4] = cols[2], cols[5]
             self.up_even[:k] = cols[7]
         self._fit(k)
 
@@ -607,7 +592,8 @@ class _Lanes:
         self._tally(used, lane_rounds, hits)
         if at.size:
             self._record(self.rows[4].take(at), total, end_up, t, same, other)
-            if self.restarts:
+            if not self.one:
+                # -1 phases left: the count-down in round never reaches 0
                 self.rows[5][at] = -1
             self.alive[at] = False
             self.dead += at.size

@@ -161,6 +161,18 @@ def test_simulate_phase_count_past_the_budget_runs_no_phase(capsys, monkeypatch)
     assert "max_phases" in err
 
 
+def test_simulate_past_the_reversal_cap_names_the_cap(capsys, monkeypatch):
+    # the error printed the cap alone, "error: 50"
+    monkeypatch.setattr(simulate, "_REVERSAL_CAP", 50)
+    code, out, err = run_capture(capsys, [
+        "simulate", "--lambda", "5", "--mu", "5", "--h", "20", "--alpha", "1",
+        "--paths", "1000"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: reversal cap of 50 reached: it bounds the velocity reversals")
+    assert "rounds of one array-kernel call" in err
+
+
 VALIDATE_20000 = ["validate", "--lambda", "1", "--mu", "2", "--h", "1",
                   "--alpha", "0.5", "--paths", "20000", "--seed", "11",
                   "--format", "json"]

@@ -100,6 +100,16 @@ def test_random_source_rejects_negative():
         RandomSource(-1, 0)
     with pytest.raises(ValueError):
         RandomSource(1, -2)
+    # a float seed or stream index ran truncated, and a nan or inf one raised
+    # int()'s ValueError or a bare OverflowError
+    for seed, stream in ((1.5, 0), (0, 2.7), (math.nan, 0), (math.inf, 0),
+                         (0, -math.inf), (np.float64(1.0), 0)):
+        with pytest.raises(ValueError, match="seed and stream_index must be integers"):
+            RandomSource(seed, stream)
+    # bools and numpy ints pass as Python ints, with the same draws
+    rng = RandomSource(np.uint8(3), True)
+    assert repr(rng) == "RandomSource(seed=3, stream_index=1)"
+    assert rng.gen.random() == RandomSource(3, 1).gen.random()
 
 
 def test_exp_draw_scalar_and_vector():
@@ -109,6 +119,9 @@ def test_exp_draw_scalar_and_vector():
     v = exp_draw(2.0, rng, size=1000)
     assert v.shape == (1000,)
     assert abs(v.mean() - 0.5) < 5.0 * 0.5 / math.sqrt(1000)
+    for rate in (0.0, math.nan):
+        with pytest.raises(NonPositiveParameter, match="'rate'"):
+            exp_draw(rate, rng)
 
 
 @given(st.integers(min_value=0, max_value=2**31), st.integers(min_value=0, max_value=64))

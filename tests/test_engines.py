@@ -220,9 +220,9 @@ STREAM_DIGESTS = {
         '4a7177a57feaa71b6424e8f9f45d442664bc149db9ef40762b0f04aadb526c6c',
     ("absorption", (1.0, 1.0, 2.0), 0.05, N, 8):
         '1486099fa3f1fe6acd917089f5189ec41312e9478c3381f580c8dc12419f29b2',
-    # at alpha = 0.999 the few restarts run out while many lanes are live;
-    # later compactions leave the phases-left row stale, and the tail
-    # starts with a lane's last phase
+    # at alpha = 0.999 every live lane reaches its last phase while many
+    # lanes are live; from there each lane that stops retires, and the
+    # tail starts with a lane's last phase
     ("absorption", (1.0, 2.0, 1.0), 0.999, 1024, 7):
         'd4e203814c15cf75505b33e1c0370cb6c1401604d2dd6f68786d31ec3118b1d5',
     ("absorption", (1.0, 2.0, 1.0), 0.999, N, 8):
@@ -429,7 +429,10 @@ def test_phase_calls_without_dual_clocks_keep_every_other_byte(monkeypatch, case
 
 # A lane array holds only the rows its call reads: position, phase time
 # and index in a one-phase call without dual clocks, which so makes two
-# parity rows, t_stop and y_stop fewer than a dual call.
+# parity rows, t_stop and y_stop fewer than a dual call.  A call keeps its
+# rows to the end: a multi-phase one holds 5 at every fit, also at
+# alpha = 0.99, where thousands of lanes are live when every one of them
+# has reached its last phase.
 def test_one_phase_calls_without_dual_clocks_make_no_parity_rows(monkeypatch):
     p, n = ModelParams(1.0, 2.0, 1.0), 2 ** 14
     depths = []
@@ -451,6 +454,9 @@ def test_one_phase_calls_without_dual_clocks_make_no_parity_rows(monkeypatch):
     monkeypatch.setattr(simulate._Lanes, "_fit", spy)
     assert peak(True) - peak(False) >= 4 * 8 * n
     assert set(depths) == {(True, 5), (False, 3)}
+    depths.clear()
+    _run_absorption(p, SwitchingProb(0.99), RandomSource(7, 0), 4096)
+    assert len(depths) > 1 and set(depths) == {(False, 5)}
 
 
 log_uniform = st.floats(min_value=-2.3, max_value=2.3).map(np.exp)
@@ -459,8 +465,8 @@ log_uniform = st.floats(min_value=-2.3, max_value=2.3).map(np.exp)
 # Any tail width gives the numpy-only outputs and generator position, at
 # random small points with float64 or float32 fields: the lanes hand over
 # to the tail and back to round blocks at varying points of a call.  Near
-# alpha = 1 the restarts run out while lanes are live, and narrow tails
-# start only after compactions past that point.
+# alpha = 1 every live lane reaches its last phase while many are live,
+# and narrow tails start only after compactions past that point.
 @given(log_uniform, log_uniform, log_uniform,
        st.floats(min_value=0.02, max_value=1.0) | st.floats(min_value=0.9, max_value=1.0),
        st.integers(min_value=1, max_value=300),

@@ -104,6 +104,10 @@ def test_transform_beyond_float64_is_a_domain_error():
         transform_from_origin(67.33596100228024, p)
     with pytest.raises(DomainError):
         transform_from_H(67.33596100228024, 11.3, p)
+    # far below 0 at a huge rate the roots themselves pass float64, and the
+    # transform raises the DomainError of theta_roots
+    with pytest.raises(DomainError, match="^roots at omega="):
+        transform_from_origin(-1.7e308, ModelParams(1e308, 1.0, 1.0))
 
 
 @pytest.mark.parametrize("lam, mu, h, d", [
@@ -366,6 +370,9 @@ def test_conditional_hit_prob_edges():
     assert conditional_hit_prob(0.0, P121) == 0.0
     assert conditional_hit_prob(1.0, P121) == 1.0
     assert conditional_hit_prob(3.7, P121) == 1.0
+    for d in (-1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="descent duration must be finite and >= 0"):
+            conditional_hit_prob(d, P121)
 
 
 def test_conditional_hit_prob_limit_is_origin_return_probability():

