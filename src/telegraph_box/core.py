@@ -109,14 +109,12 @@ class RandomSource:
         # the rule of analytics._index: ints of any size, bools and numpy
         # ints pass, as Python ints; floats, nan and inf do not
         try:
-            ok = operator.index(seed) >= 0 and operator.index(stream_index) >= 0
+            self.seed, self.stream_index = operator.index(seed), operator.index(stream_index)
         except TypeError:
-            ok = False
-        if not ok:
+            self.seed = self.stream_index = -1
+        if min(self.seed, self.stream_index) < 0:
             raise ValueError(f"seed and stream_index must be integers >= 0, "
                              f"got {seed!r} and {stream_index!r}")
-        self.seed = operator.index(seed)
-        self.stream_index = operator.index(stream_index)
         ss = np.random.SeedSequence(entropy=self.seed,
                                     spawn_key=(self.stream_index,))
         self.gen = np.random.Generator(np.random.PCG64(ss))

@@ -224,7 +224,7 @@ def test_restart_heavy_absorption_matches_closed_forms(case):
 # At (5,5,20), r*H = 100: a phase averages about 100 rounds with a tail
 # past 10^4, so nearly every lane stops inside a round block of its own.
 # No acceptance criterion reaches this regime (their r*H is at most 5).
-@pytest.mark.parametrize("start", [Boundary.ORIGIN, Boundary.ORIGIN])
+@pytest.mark.parametrize("start", [Boundary.ORIGIN, Boundary.LEVEL])
 def test_round_blocks_match_closed_forms_at_high_reversal(start):
     n, z_max = 2 ** 16, 4.0
     p = ModelParams(5.0, 5.0, 20.0)
