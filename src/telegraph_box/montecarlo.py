@@ -1,12 +1,14 @@
 """Estimation layer over the array simulation engines.
 
-Work is cut into fixed-size batches; batch b consumes the three random
-streams (3b, 3b+1, 3b+2) for origin phases, level phases, and absorption
-paths.  Each (batch, engine) pair is one job, which fills only its own
-moment rows of the batch, and the batches' moments are reduced with a
-fixed pairwise tree, so the result depends only on (seed, batch layout),
-and the estimate over two half-ranges merges bit for bit into the
-full-range estimate.
+Work is cut into fixed-size batches; batch b draws its origin phases,
+level phases and absorption paths from the random streams 3b, 3b+1 and
+3b+2.  At alpha = 1 an absorption path is one origin phase, so the origin
+phases fill the absorption rows too and stream 3b+2 is not drawn
+(_engine_rows).  Each (batch, engine) pair is one job, which fills only
+its own moment rows of the batch, and the batches' moments are reduced
+with a fixed pairwise tree, so the result depends only on (seed, alpha,
+batch layout), and the estimate over two half-ranges merges bit for bit
+into the full-range estimate.
 
 Where the closed forms predict that the work pays for a second process,
 one worker process first runs part of the jobs while the caller runs the
@@ -49,16 +51,13 @@ _QUANTITIES = (
 )
 _NQ = len(_QUANTITIES)
 
-# the rows that engines 0, 1 and 2 of a batch fill: its absorption paths,
-# origin phases and level phases, in the order a serial call runs them.
-# The absorption paths go first, so that phase counts past the budget fail
-# before any phase is run; each engine has its own stream, so the order
-# changes no value
-_ENGINE_ROWS = tuple([_QUANTITIES.index(q) for q in names] for names in (
+# the rows that engines 0, 1 and 2 of a batch fill below alpha = 1: its
+# absorption paths, origin phases and level phases (_engine_rows)
+_ENGINE_ROWS = (
     ("mean_m", "absorption_time"),
     ("p00", "p0h", "m00", "m0h", "f00", "f0h"),
     ("ph0", "phh", "mh0", "mhh"),
-))
+)
 
 # a call splits only where the worker's share, the lighter one, is predicted
 # to take more draws than this, 1.5-5 ms of work at 23-80 ns a draw.  Every
@@ -134,42 +133,62 @@ def _predicted_draws(p: ModelParams, s: SwitchingProb) -> tuple[float, float, fl
     return v0 * origin + vh * level, origin, level
 
 
+def _engine_rows(s: SwitchingProb) -> dict[int, tuple[str, ...]]:
+    """The rows each engine of a batch fills, keyed by engine in the order
+    a serial call runs them: 0 its absorption paths, 1 its origin phases
+    and 2 its level phases.  The absorption paths go first, so that phase
+    counts past the budget fail before any phase is run; each engine has
+    its own stream, so the order changes no value.
+
+    At alpha = 1 a path is absorbed at its first wall contact, so it is
+    one origin phase: m = 1, and tau is that phase's duration.  The origin
+    phases then fill the absorption rows as well, and no engine 0 runs;
+    the absorption_time row is the sum of the m00 and m0h rows.
+    """
+    if s.alpha < 1.0:
+        return dict(enumerate(_ENGINE_ROWS))
+    return {1: _ENGINE_ROWS[1] + _ENGINE_ROWS[0], 2: _ENGINE_ROWS[2]}
+
+
 def _engine_columns(p: ModelParams, s: SwitchingProb, seed: int, batch: int,
-                    size: int, omega: tuple[float, float], engine: int) -> tuple:
-    """The columns of one engine call of one batch, in the order of its
-    rows _ENGINE_ROWS[engine].
+                    size: int, omega: tuple[float, float], engine: int) -> dict:
+    """The columns of one engine call of one batch, keyed by row; the
+    origin phases also give the absorption rows that alpha = 1 reads.
 
     The f00 and f0h rows are exp(omega*T) on the origin phases that return
     and on those that cross, with T their dual stopping time t_stop.
     """
     if engine == 0:
         m, total, _ = _run_absorption(p, s, RandomSource(seed, 3 * batch + 2), size)
-        return m, total
+        return {"mean_m": m, "absorption_time": total}
     if engine == 1:
         endl, dur, _, t_stop, _ = _run_phases(
             Boundary.ORIGIN, p, RandomSource(seed, 3 * batch), size)
-        return (~endl, endl,
-                np.where(~endl, dur, 0.0), np.where(endl, dur, 0.0),
-                np.where(~endl, np.exp(omega[0] * t_stop), 0.0),
-                np.where(endl, np.exp(omega[1] * t_stop), 0.0))
+        return {"p00": ~endl, "p0h": endl,
+                "m00": np.where(~endl, dur, 0.0), "m0h": np.where(endl, dur, 0.0),
+                "f00": np.where(~endl, np.exp(omega[0] * t_stop), 0.0),
+                "f0h": np.where(endl, np.exp(omega[1] * t_stop), 0.0),
+                "mean_m": np.ones(size, dtype=bool), "absorption_time": dur}
     # no row reads the level phases' dual clocks, so that call keeps none
     endl, dur, _, _, _ = _run_phases(
         Boundary.LEVEL, p, RandomSource(seed, 3 * batch + 1), size, dual=False)
-    return ~endl, endl, np.where(~endl, dur, 0.0), np.where(endl, dur, 0.0)
+    return {"ph0": ~endl, "phh": endl,
+            "mh0": np.where(~endl, dur, 0.0), "mhh": np.where(endl, dur, 0.0)}
 
 
 def _job_moments(p: ModelParams, s: SwitchingProb, seed: int,
                  omega: tuple[float, float], job: tuple[int, int, int]) -> np.ndarray:
     """(count, sum, sum of squares) rows of one job, (batch, engine, size):
-    the rows _ENGINE_ROWS[engine], in that order."""
+    the rows _engine_rows(s)[engine], in that order."""
     batch, engine, size = job
     cols = _engine_columns(p, s, seed, batch, size, omega, engine)
+    names = _engine_rows(s)[engine]
     # column by column, not through a (rows, size) matrix: each sum is the
     # same pairwise sum over one contiguous column.  On a 0/1 frequency
     # column the sum and the sum of squares are both the exact count
-    moments = np.empty((len(cols), 3))
+    moments = np.empty((len(names), 3))
     moments[:, 0] = size
-    for row, x in zip(moments, cols):
+    for row, x in zip(moments, (cols[name] for name in names)):
         if x.dtype == bool:
             row[1:] = np.count_nonzero(x)
         else:
@@ -181,11 +200,12 @@ def _job_moments(p: ModelParams, s: SwitchingProb, seed: int,
 def _batch_moments(p: ModelParams, s: SwitchingProb, seed: int, batch: int,
                    size: int, omega: tuple[float, float], done: dict) -> np.ndarray:
     """(count, sum, sum of squares) rows for one batch, shape (_NQ, 3),
-    from its three jobs in engine order: the rows `done` holds for a job,
-    keyed by (batch, engine, size), and otherwise the job run here."""
+    from its jobs in engine order: the rows `done` holds for a job, keyed
+    by (batch, engine, size), and otherwise the job run here."""
     moments = np.empty((_NQ, 3))
-    for engine, rows in enumerate(_ENGINE_ROWS):
+    for engine, names in _engine_rows(s).items():
         job = (batch, engine, size)
+        rows = [_QUANTITIES.index(name) for name in names]
         moments[rows] = done[job] if job in done else _job_moments(p, s, seed, omega, job)
     return moments
 
@@ -387,7 +407,7 @@ def _gather(p: ModelParams, s: SwitchingProb, n_paths: int, seed: int,
     sizes = [BATCH_SIZE] * (n_paths // BATCH_SIZE)
     if n_paths % BATCH_SIZE:
         sizes.append(n_paths % BATCH_SIZE)
-    jobs = [(b, engine, k) for b, k in enumerate(sizes) for engine in range(len(_ENGINE_ROWS))]
+    jobs = [(b, engine, k) for b, k in enumerate(sizes) for engine in _engine_rows(s)]
     child = _child_share(p, s, jobs)
     done = _run_split(p, s, seed, omega, jobs, child) if child else {}
     # each batch runs every job without rows, in job order, so a failing
@@ -405,9 +425,10 @@ def _mean_se(row: np.ndarray) -> tuple[float, float]:
 
 def estimate(p: ModelParams, s: SwitchingProb, n_paths: int, seed: int) -> MCSummary:
     """Sample means and standard errors over n_paths phases of each start
-    boundary plus n_paths absorption paths, deterministic in (seed).
-    Raises DomainError before simulating where the mean absorption time
-    is past float64."""
+    boundary and n_paths absorption paths, deterministic in (seed).  At
+    alpha = 1 the absorption paths are the origin phases themselves, with
+    m = 1 and tau their durations (_engine_rows).  Raises DomainError
+    before simulating where the mean absorption time is past float64."""
     analytics.expected_absorption_time(p, s)
     mom = _gather(p, s, n_paths, seed,
                   _clock_frequencies(analytics.expected_cycles(p)))
@@ -449,9 +470,11 @@ def validate(p: ModelParams, s: SwitchingProb, n_paths: int, seed: int,
     One record per quantity; overall_pass is true iff every |z| <= z_max.
     The f00 and f0h rows take their standard error from the exact
     variance, the others from the sample.  A zero standard error yields
-    z = 0 only on exact agreement.  Raises DomainError unless z_max is
-    finite and positive, and before simulating where a closed form is
-    past float64.
+    z = 0 only on exact agreement, as the mean_m row has at alpha = 1.
+    There the mean_m and absorption_time rows read the origin phases, so
+    absorption_time is the sum of the m00 and m0h rows and no independent
+    check of them.  Raises DomainError unless z_max is finite and
+    positive, and before simulating where a closed form is past float64.
     """
     if not (math.isfinite(z_max) and z_max > 0.0):
         raise DomainError(f"z_max must be finite and > 0, got {z_max!r}")

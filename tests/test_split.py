@@ -40,10 +40,12 @@ from test_engines import SCALAR_CASES
 pytestmark = pytest.mark.skipif(not sys.platform.startswith("linux"),
                                 reason="a call forks only on Linux")
 
-# (lam, mu, H, alpha, paths): the three benchmark regimes, and three
+# (lam, mu, H, alpha, paths): the three benchmark regimes; at alpha = 1,
+# whose batches run two jobs, a full batch and a partial one; and three
 # batches of which the last holds the remainder
 GATHER_CASES = ((1.0, 2.0, 1.0, 0.5, 2 ** 15), (5.0, 5.0, 20.0, 1.0, 2000),
-                (1.0, 2.0, 1.0, 0.02, 2000), (1.0, 2.0, 1.0, 0.5, 2 ** 15 + 1234))
+                (1.0, 2.0, 1.0, 0.02, 2000), (5.0, 5.0, 20.0, 1.0, 20000),
+                (1.0, 2.0, 1.0, 0.5, 2 ** 15 + 1234))
 
 
 @pytest.fixture(autouse=True)
@@ -94,10 +96,11 @@ def python_c(code):
                           text=True, timeout=120, check=True).stdout
 
 
-def jobs_of(n_paths):
+def jobs_of(s, n_paths):
+    """The jobs of a call, (batch, engine, size), as _gather builds them."""
     sizes = [montecarlo.BATCH_SIZE] * (n_paths // montecarlo.BATCH_SIZE)
     sizes += [n_paths % montecarlo.BATCH_SIZE] if n_paths % montecarlo.BATCH_SIZE else []
-    return [(b, engine, k) for b, k in enumerate(sizes) for engine in range(3)]
+    return [(b, engine, k) for b, k in enumerate(sizes) for engine in montecarlo._engine_rows(s)]
 
 
 @pytest.mark.parametrize("case", GATHER_CASES, ids=str)
@@ -114,17 +117,22 @@ def test_the_benchmark_regimes_split_only_where_the_forms_predict_a_gain(monkeyp
     # the worker takes the lighter share, and a call splits once that share
     # passes 2^16 draws.  At alpha = 0.02 the worker runs the two phase
     # jobs, about 77k draws against 2M for the absorption job; at r*H = 100
-    # one of three equal jobs; the README regime at 2^17 paths keeps the
-    # exact tie of longest-first, with batches 0, 2, 4 and 6 the worker's.
-    # The 1000-path warm-up call, 4.7k draws a share, stays serial
+    # a batch has no absorption job, and at lam = mu its origin and level
+    # jobs tie exactly, so the worker takes the origin job; the README
+    # regime at 2^17 paths keeps the exact tie of longest-first, with
+    # batches 0, 2, 4 and 6 the worker's.  The 1000-path warm-up call, 4.7k
+    # draws a share, stays serial
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     for case, n_paths, child in (((1.0, 2.0, 1.0, 0.5), 1000, []),
                                  ((1.0, 2.0, 1.0, 0.02), 2 ** 14, [1, 2]),
                                  ((1.0, 2.0, 1.0, 0.5), 2 ** 17,
                                   [j for j in range(24) if j // 3 % 2 == 0]),
-                                 ((5.0, 5.0, 20.0, 1.0), 2 ** 14, [1])):
+                                 ((5.0, 5.0, 20.0, 1.0), 2 ** 14, [0])):
         p, s = ModelParams(*case[:3]), SwitchingProb(case[3])
-        assert montecarlo._child_share(p, s, jobs_of(n_paths)) == child, case
+        jobs = jobs_of(s, n_paths)
+        assert montecarlo._child_share(p, s, jobs) == child, case
+    # the last case's jobs: the origin phases, then the level phases
+    assert [engine for _, engine, _ in jobs] == [1, 2]
 
 
 @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
@@ -135,7 +143,7 @@ def test_the_worker_takes_the_lighter_share_of_a_partition(lam, mu, h, alpha, n_
     # log-uniform rates, level and alpha; the shares are summed in the
     # order longest-first adds the jobs, as _child_share sums them
     p, s = ModelParams(10.0 ** lam, 10.0 ** mu, 10.0 ** h), SwitchingProb(10.0 ** alpha)
-    jobs = jobs_of(n_paths)
+    jobs = jobs_of(s, n_paths)
     units = montecarlo._predicted_draws(p, s)
     draws = [size * units[engine] for _, engine, size in jobs]
     with pytest.MonkeyPatch.context() as mp:
@@ -172,7 +180,8 @@ def test_the_first_failing_job_in_job_order_raises(monkeypatch, forks, childs_fi
     # one job fails in each share; the error is that of the earlier one in
     # job order, as in a serial run, whichever share ran it
     case = GATHER_CASES[-1]
-    p, s, jobs = ModelParams(*case[:3]), SwitchingProb(case[3]), jobs_of(case[4])
+    p, s = ModelParams(*case[:3]), SwitchingProb(case[3])
+    jobs = jobs_of(s, case[4])
     split_on(monkeypatch)
     child = montecarlo._child_share(p, s, jobs)
     mine = [j for j in range(len(jobs)) if j not in child]
@@ -227,7 +236,8 @@ def test_a_call_that_cannot_fork_runs_every_job_itself(monkeypatch):
 def test_the_caller_runs_only_its_own_share(monkeypatch, forks):
     # the rows of a child that ends are taken, not computed again here
     case = GATHER_CASES[-1]
-    p, s, jobs = ModelParams(*case[:3]), SwitchingProb(case[3]), jobs_of(case[4])
+    p, s = ModelParams(*case[:3]), SwitchingProb(case[3])
+    jobs = jobs_of(s, case[4])
     split_on(monkeypatch)
     child = montecarlo._child_share(p, s, jobs)
     job_moments, ran = montecarlo._job_moments, []
@@ -615,3 +625,56 @@ def test_predicted_draws_per_path_match_a_counted_run(alpha, paths):
     se = draws.std(ddof=1) / math.sqrt(paths)
     want = montecarlo._predicted_draws(p, s)[0]
     assert abs(draws.mean() - want) < 4.0 * se, (alpha, draws.mean(), want)
+
+
+# ---------------------------------------------------------------------------
+# alpha = 1: a path is one origin phase, and the origin jobs fill its rows
+
+
+@pytest.mark.parametrize("split", [split_off, split_on], ids=["serial", "split"])
+def test_no_absorption_job_runs_at_alpha_one(monkeypatch, split):
+    # a worker forked in this test runs the patched engine too, and a job
+    # that raises there is run again, and raises, in the caller
+    def absorption(*args):
+        raise AssertionError("an absorption job ran at alpha = 1")
+
+    split(monkeypatch)
+    monkeypatch.setattr(montecarlo, "_run_absorption", absorption)
+    p, s = ModelParams(5.0, 5.0, 20.0), SwitchingProb(1.0)
+    summary = montecarlo.estimate(p, s, 20000, 3)
+    records = {r.name: r for r in montecarlo.validate(p, s, 20000, 3).records}
+    assert summary.mean_absorption_time == records["absorption_time"].estimate
+    assert (summary.mean_m, summary.se_mean_m) == (1.0, 0.0)
+    assert (records["mean_m"].estimate, records["mean_m"].z_score) == (1.0, 0.0)
+
+
+def test_an_absorption_job_runs_just_below_alpha_one(monkeypatch):
+    run, sizes = montecarlo._run_absorption, []
+
+    def counted(p, s, rng, n):
+        sizes.append(n)
+        return run(p, s, rng, n)
+
+    split_off(monkeypatch)
+    monkeypatch.setattr(montecarlo, "_run_absorption", counted)
+    p, s = ModelParams(5.0, 5.0, 20.0), SwitchingProb(math.nextafter(1.0, 0.0))
+    montecarlo.estimate(p, s, 2000, 3)
+    montecarlo.validate(p, s, 2000, 3)
+    assert sizes == [2000, 2000]
+
+
+@pytest.mark.parametrize("case", [(5.0, 5.0, 20.0, 1.0, 20000), (1.0, 2.0, 1.0, 1.0, 3000)],
+                         ids=str)
+def test_at_alpha_one_the_absorption_rows_are_the_origin_phases(monkeypatch, case):
+    # m = 1 on every path, and tau is the origin phase's duration, which
+    # the m00 row holds on the phases that return and the m0h row on those
+    # that cross
+    split_off(monkeypatch)
+    mom = np.frombuffer(gather(case)).reshape(-1, 3)
+    row = dict(zip(montecarlo._QUANTITIES, mom))
+    n = case[4]
+    assert row["mean_m"].tolist() == [n, n, n]
+    assert row["absorption_time"][0] == row["m00"][0] == row["m0h"][0] == n
+    for k in (1, 2):
+        want = row["m00"][k] + row["m0h"][k]
+        assert abs(row["absorption_time"][k] - want) <= 1e-12 * want, (k, row)
