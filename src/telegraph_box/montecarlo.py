@@ -60,7 +60,7 @@ _ENGINE_ROWS = (
 )
 
 # a call splits only where the worker's share, the lighter one, is predicted
-# to take more draws than this, 1.5-5 ms of work at 23-80 ns a draw.  Every
+# to take more draws than this, 0.9-2.4 ms of work at 13-37 ns a draw.  Every
 # benchmark call splits, and calls of fewer than about 14k paths at
 # (1,2,1,0.5) stay serial; a one-shot call just above it still loses more to
 # the first fork than it gains (README.md, "Splitting a call between two
@@ -156,20 +156,23 @@ def _engine_columns(p: ModelParams, s: SwitchingProb, seed: int, batch: int,
     origin phases also give the absorption rows that alpha = 1 reads.
 
     The f00 and f0h rows are exp(omega*T) on the origin phases that return
-    and on those that cross, with T their dual stopping time t_stop.
+    and on those that cross, with T their dual stopping time.  No call
+    keeps dual clocks: T is read from the duration D by the dual identity,
+    D = 2T on a return and D = 2T - H on a crossing, which criteria 3 and
+    4 check on the kernel's own clocks.
     """
     if engine == 0:
         m, total, _ = _run_absorption(p, s, RandomSource(seed, 3 * batch + 2), size)
         return {"mean_m": m, "absorption_time": total}
     if engine == 1:
-        endl, dur, _, t_stop, _ = _run_phases(
-            Boundary.ORIGIN, p, RandomSource(seed, 3 * batch), size)
+        endl, dur, _, _, _ = _run_phases(
+            Boundary.ORIGIN, p, RandomSource(seed, 3 * batch), size, dual=False)
+        t_stop = 0.5 * (dur + float(p.effective_level) * endl)
         return {"p00": ~endl, "p0h": endl,
                 "m00": np.where(~endl, dur, 0.0), "m0h": np.where(endl, dur, 0.0),
                 "f00": np.where(~endl, np.exp(omega[0] * t_stop), 0.0),
                 "f0h": np.where(endl, np.exp(omega[1] * t_stop), 0.0),
                 "mean_m": np.ones(size, dtype=bool), "absorption_time": dur}
-    # no row reads the level phases' dual clocks, so that call keeps none
     endl, dur, _, _, _ = _run_phases(
         Boundary.LEVEL, p, RandomSource(seed, 3 * batch + 1), size, dual=False)
     return {"ph0": ~endl, "phh": endl,
@@ -468,8 +471,10 @@ def validate(p: ModelParams, s: SwitchingProb, n_paths: int, seed: int,
     """Compare every estimable quantity against its closed form.
 
     One record per quantity; overall_pass is true iff every |z| <= z_max.
-    The f00 and f0h rows take their standard error from the exact
-    variance, the others from the sample.  A zero standard error yields
+    The f00 and f0h rows read each origin phase's dual stopping time
+    from its duration by the dual identity, not from dual clocks of the
+    kernel, and take their standard error from the exact variance; the
+    others take it from the sample.  A zero standard error yields
     z = 0 only on exact agreement, as the mean_m row has at alpha = 1.
     There the mean_m and absorption_time rows read the origin phases, so
     absorption_time is the sum of the m00 and m0h rows and no independent

@@ -331,7 +331,10 @@ def test_unwritable_output_is_parameter_error(tmp_path, capsys):
 
 # stdout of one invocation per output path, in both machine formats; the
 # SHA-256 digests were frozen before the subcommands shared one renderer,
-# so any change to a key, its order or a printed digit shows up here
+# so any change to a key, its order or a printed digit shows up here.  The
+# validate calls at r*H = 100 and at alpha = 0.02, the other two benchmark
+# regimes, were frozen from a build whose f rows read the kernel's dual
+# clocks, so they hold the f rows' identity clock to those bytes
 GOLDEN_ARGV = {
     "analytics-asym": ["analytics", "--lambda", "1", "--mu", "2", "--h", "1",
                        "--alpha", "0.5"],
@@ -347,6 +350,10 @@ GOLDEN_ARGV = {
     "validate-fail": ["validate", "--lambda", "1", "--mu", "2", "--h", "1",
                       "--alpha", "0.5", "--paths", "20000", "--seed", "11",
                       "--zmax", "0.01"],
+    "validate-high-reversal": ["validate", "--lambda", "5", "--mu", "5", "--h", "20",
+                               "--alpha", "1", "--paths", "16384", "--seed", "31"],
+    "validate-rare-absorption": ["validate", "--lambda", "1", "--mu", "2", "--h", "1",
+                                 "--alpha", "0.02", "--paths", "16384", "--seed", "31"],
     "scaling": ["scaling", "--h", "1", "--alpha", "0.5", "--c-values", "1,4,16"],
 }
 
@@ -380,6 +387,14 @@ GOLDEN = {
         1,
         "405155804d668e83f28535031f1d48c2602a27267e05ca43dce13b548f989c6a",
         "050bc3b3d1ed72d4d2ef3fdc1cea528281aea406f3d0dba68f62b4f451aa7492"),
+    "validate-high-reversal": (
+        0,
+        "b11f1f37695a3077f2993079f81b4ba8b8badb62eec3098e196a781f9a23e58d",
+        "0f64dd71d1a73c0970f52c454559ed2bb7a89dd1338e845a3367644c19a75bf7"),
+    "validate-rare-absorption": (
+        0,
+        "b33d26e33e944050c107f5f7e61aef294bd319ff771c4625c7c5411b1097d47f",
+        "e3bf37623d0d21ee941fec70290536591873cfb74693509826fd38be877897db"),
     "scaling": (
         0,
         "d37bcc58267889d16cf38d8086b077aec5d3750936b166cba223eeca11c4c5ad",

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from telegraph_box import (
+    Boundary,
     DomainError,
     ModelParams,
+    RandomSource,
     SwitchingProb,
     estimate,
     expected_cycles,
@@ -20,7 +22,9 @@ from telegraph_box import (
     validation_report_json,
     validation_report_table,
 )
+from telegraph_box import montecarlo
 from telegraph_box.montecarlo import _QUANTITIES
+from telegraph_box.simulate import _run_phases
 
 P121 = ModelParams(1.0, 2.0, 1.0)
 A05 = SwitchingProb(0.5)
@@ -134,6 +138,30 @@ def test_validate_record_consistency():
         if r.standard_error > 0.0:
             want = (r.estimate - r.analytic) / r.standard_error
             assert math.isclose(r.z_score, want, rel_tol=1e-12)
+
+
+# (lam, mu, H, velocity): round blocks at (5, 5, 20), down draws that
+# cross the whole box at (1, 1e-300, 1), phases far shorter than 1 at
+# (1e3, 1e3, 1e-3), and an effective level H / c at c = 2.5
+CLOCK_CASES = ((1.0, 2.0, 1.0, 1.0), (5.0, 5.0, 20.0, 1.0), (0.5, 0.7, 10.0, 1.0),
+               (1.0, 1e-300, 1.0, 1.0), (1e3, 1e3, 1e-3, 1.0), (1.0, 2.0, 1.0, 2.5))
+
+
+@pytest.mark.parametrize("case", CLOCK_CASES, ids=str)
+def test_f_rows_read_the_dual_clock_from_the_phase_duration(case):
+    # the origin job runs without dual clocks and takes T = (D + H 1{0H}) / 2;
+    # lane by lane, that is the kernel's own t_stop on the same stream, and
+    # the f00 and f0h columns are exp(omega T) of it
+    p = ModelParams(*case)
+    omega = montecarlo._clock_frequencies(expected_cycles(p))
+    cols = montecarlo._engine_columns(p, A05, 13, 0, 4096, omega, 1)
+    endl, dur, _, t_stop, _ = _run_phases(Boundary.ORIGIN, p, RandomSource(13, 0), 4096)
+    clock = 0.5 * (dur + p.effective_level * endl)
+    assert np.all(np.abs(clock - t_stop) <= 1e-12 * np.maximum(1.0, t_stop))
+    for name, w, on in (("f00", omega[0], ~endl), ("f0h", omega[1], endl)):
+        assert np.array_equal(cols[name] == 0.0, ~on), name
+        want = np.exp(w * t_stop[on])
+        assert np.allclose(cols[name][on], want, rtol=1e-12, atol=0.0), name
 
 
 def test_validate_tight_gate_fails():

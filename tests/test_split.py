@@ -648,6 +648,25 @@ def test_no_absorption_job_runs_at_alpha_one(monkeypatch, split):
     assert (records["mean_m"].estimate, records["mean_m"].z_score) == (1.0, 0.0)
 
 
+@pytest.mark.parametrize("split", [split_off, split_on], ids=["serial", "split"])
+def test_no_call_asks_the_kernel_for_dual_clocks(monkeypatch, split):
+    # the f rows read the dual clock from the phase duration, so every
+    # phase job runs lean; a worker forked in this test runs the patched
+    # engine too, and a job that raises there raises again in the caller
+    run = montecarlo._run_phases
+
+    def lean(start, p, rng, n, dual=True):
+        if dual:
+            raise AssertionError("a phase job asked for dual clocks")
+        return run(start, p, rng, n, dual)
+
+    split(monkeypatch)
+    monkeypatch.setattr(montecarlo, "_run_phases", lean)
+    p, s = ModelParams(1.0, 2.0, 1.0), SwitchingProb(0.5)
+    montecarlo.estimate(p, s, 20000, 3)
+    assert montecarlo.validate(p, s, 20000, 3).overall_pass
+
+
 def test_an_absorption_job_runs_just_below_alpha_one(monkeypatch):
     run, sizes = montecarlo._run_absorption, []
 
